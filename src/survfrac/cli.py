@@ -7,6 +7,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .dataset import DataError, Dataset, parse_csv, split_by_group
 from .fracmean import (
@@ -15,11 +17,10 @@ from .fracmean import (
     fraction_mean_bounds,
     fraction_means,
     max_observed_fraction,
-    restricted_mean,
     truncate_grid,
 )
-from .inference import bootstrap_fraction_diff, bootstrap_restricted_mean_diff
-from .km import BandUndefinedError, ep_band, fit_km
+from .inference import bootstrap_compare
+from .km import BandUndefinedError, _step_lookup, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
 from .sim import SimConfig, run_study
 
@@ -35,6 +36,13 @@ CONVENTIONS = {
 def _default_format() -> str:
     fmt = os.environ.get("SURVFRAC_FORMAT", "table")
     return fmt if fmt in FORMATS else "table"
+
+
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_lambdas(text: str) -> FractionGrid:
@@ -139,12 +147,23 @@ def cmd_compare(args) -> OutputDocument:
     requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
     grid = truncate_grid(requested, common_max)
 
-    estimates = bootstrap_fraction_diff(
-        g0, g1, grid, B=args.bootstrap, level=args.level, seed=args.seed,
-        workers=args.workers,
+    horizon = None
+    if args.restricted_mean == "auto":
+        horizon = min(float(c.times[-1]) for c in curves.values())
+    elif args.restricted_mean is not None:
+        try:
+            horizon = float(args.restricted_mean)
+        except ValueError:
+            raise DataError(f"bad horizon {args.restricted_mean!r}") from None
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise DataError(f"horizon must be finite and positive, got {horizon}")
+
+    result = bootstrap_compare(
+        g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
+        seed=args.seed, workers=args.workers,
     )
     rows = []
-    for j, est in enumerate(estimates):
+    for j, est in enumerate(result.fractions):
         rows.append(
             {
                 "k": j + 1,
@@ -165,18 +184,8 @@ def cmd_compare(args) -> OutputDocument:
         )
     ]
 
-    horizon = None
-    if args.restricted_mean is not None:
-        if args.restricted_mean == "auto":
-            horizon = min(float(c.times[-1]) for c in curves.values())
-        else:
-            horizon = float(args.restricted_mean)
-            if horizon <= 0:
-                raise DataError(f"horizon must be positive, got {horizon}")
-        est = bootstrap_restricted_mean_diff(
-            g0, g1, horizon, B=args.bootstrap, level=args.level,
-            seed=args.seed, workers=args.workers,
-        )
+    if horizon is not None:
+        est = result.restricted
         sections.append(
             Section(
                 label="restricted_mean_difference",
@@ -309,18 +318,24 @@ def _curve_rows(curve, band):
             "upper": None,
         }
     ]
-    for step in curve.steps:
-        lo = up = None
-        if band is not None and band.range[0] <= step.time <= band.range[1]:
-            lo = float(band.lower_at(step.time))
-            up = float(band.upper_at(step.time))
+    lower = upper = [None] * len(curve)
+    if band is not None:
+        # one lookup for both edges; None outside the band range
+        edges = _step_lookup(band.times, np.stack((band.lower, band.upper)),
+                             curve.times).astype(object)
+        edges[:, (curve.times < band.range[0]) | (curve.times > band.range[1])] = None
+        lower, upper = edges.tolist()
+    for t, s, n, d, g, lo, up in zip(
+        curve.times.tolist(), curve.survival.tolist(), curve.at_risk.tolist(),
+        curve.events.tolist(), curve.greenwood.tolist(), lower, upper,
+    ):
         rows.append(
             {
-                "time": step.time,
-                "survival": step.survival,
-                "at_risk": step.at_risk,
-                "events": step.events,
-                "greenwood": step.greenwood,
+                "time": t,
+                "survival": s,
+                "at_risk": n,
+                "events": d,
+                "greenwood": g,
                 "lower": lo,
                 "upper": up,
             }
@@ -407,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="HORIZON",
                       help="also compare restricted means (default horizon: "
                            "smaller of the groups' last event times)")
-    cmp_.add_argument("--workers", type=int, default=1,
+    cmp_.add_argument("--workers", type=_worker_count, default=1,
                       help="parallel bootstrap workers")
     cmp_.set_defaults(handler=cmd_compare)
 
@@ -424,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated fraction endpoints")
     sim.add_argument("--band-level", dest="band_level", type=float, default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=_worker_count, default=1)
     sim.add_argument("--format", choices=FORMATS, default=None)
     sim.set_defaults(handler=cmd_simulate)
 

@@ -193,6 +193,36 @@ def restricted_mean(curve: KmCurve, horizon: float) -> float:
     return float(values @ np.maximum(ends - starts, 0.0))
 
 
+def _fraction_rows(times, surv, grid: FractionGrid):
+    """Row form of :func:`fraction_means`: ``(mu_bar, computable)``.
+
+    ``surv`` holds one survival row per sample, valued at every one of the
+    shared sorted ``times``; a column without events repeats the previous
+    value and so adds no mass.  Results are (rows x K).
+    """
+    prev = np.empty_like(surv)
+    prev[:, 0] = 1.0
+    prev[:, 1:] = surv[:, :-1]
+    gammas = grid.gammas
+    widths = grid.widths
+    mu_bar = np.empty((surv.shape[0], grid.k))
+    for j in range(grid.k):
+        overlap = np.minimum(prev, gammas[j]) - np.maximum(surv, gammas[j + 1])
+        np.maximum(overlap, 0.0, out=overlap)
+        # a per-row sum, not a matrix product, whose blocking could make a
+        # row's rounding depend on the rows evaluated with it
+        mu_bar[:, j] = (overlap * times).sum(axis=1) / widths[j]
+    # survival never increases along a row, so its last value decides
+    computable = surv[:, -1:] <= np.asarray(gammas[1:])
+    return mu_bar, computable
+
+
+def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
+    """Row form of :func:`restricted_mean`, laid out as :func:`_fraction_rows`."""
+    edges = np.minimum(times, horizon)
+    return edges[0] + (surv * np.diff(edges, append=horizon)).sum(axis=1)
+
+
 def truncate_grid(grid: FractionGrid, max_fraction: float,
                   tol: float = 1e-12) -> FractionGrid:
     """Drop fractions beyond ``max_fraction``.

@@ -1,24 +1,45 @@
-"""Stratified bootstrap comparison of fraction means between two groups."""
+"""Stratified bootstrap comparison of fraction means between two groups.
+
+A replicate is a vector of frequency weights over the sorted distinct times
+of each group's sample: its index draw becomes a row of per-time counts.
+Replicates are evaluated in blocks of such rows with one vectorised
+product-limit computation (:func:`survfrac.km._km_rows`), and every
+statistic of a replicate comes from that one pass.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .fracmean import FractionGrid, fraction_means, restricted_mean
-from .km import fit_km
+from .fracmean import (
+    FractionGrid,
+    _fraction_rows,
+    _restricted_mean_rows,
+    fraction_means,
+    restricted_mean,
+)
+from .km import _km_rows, fit_km
 
 __all__ = [
     "DiffEstimate",
+    "BootstrapComparison",
+    "bootstrap_compare",
     "bootstrap_fraction_diff",
     "bootstrap_restricted_mean_diff",
 ]
+
+# Cells (replicate rows x draws per row) evaluated at once.  Bounds the
+# engine's working arrays to a few MiB whatever B is.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,6 +60,14 @@ class DiffEstimate:
     unreliable: bool
 
 
+class BootstrapComparison(NamedTuple):
+    """Per-fraction differences and, when a horizon was given, the
+    restricted-mean difference, all from the same replicates."""
+
+    fractions: list[DiffEstimate]
+    restricted: DiffEstimate | None
+
+
 def _group_digest(ds: Dataset) -> int:
     """Stable 64-bit content digest; keys the group's resampling stream.
 
@@ -52,35 +81,105 @@ def _group_digest(ds: Dataset) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _resample(ds: Dataset, seed: int, digest: int, replicate: int) -> Dataset:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(digest)])
-    counter = np.array([0, 0, 0, replicate], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    idx = rng.integers(0, len(ds), size=len(ds))
-    return Dataset(times=ds.times[idx], status=ds.status[idx])
+class _Group(NamedTuple):
+    """What a replicate block needs of one group's sample."""
+
+    times: np.ndarray  # sorted distinct times
+    column: np.ndarray  # per observation: index of its time in ``times``
+    status: np.ndarray
+    digest: int
 
 
-def _replicate_diffs(g0, g1, d0, d1, seed, stat, replicate):
-    """Per-replicate statistic difference vector, or None when discarded."""
-    r0 = _resample(g0, seed, d0, replicate)
-    r1 = _resample(g1, seed, d1, replicate)
-    if r0.n_events == 0 or r1.n_events == 0:
-        return None
-    v0, ok0 = stat(r0)
-    v1, ok1 = stat(r1)
-    diffs = v1 - v0
+def _prepare(ds: Dataset) -> _Group:
+    times, column = np.unique(ds.times, return_inverse=True)
+    return _Group(times, column.ravel(), ds.status, _group_digest(ds))
+
+
+def _replicate_counts(group: _Group, seed: int, start: int, stop: int):
+    """Per-time observation and event counts of replicates [start, stop).
+
+    Replicate r draws ``integers(0, n, size=n)`` from the Philox stream
+    keyed by (seed, group digest) at counter (0, 0, 0, r).  One generator
+    is reused, its counter reset per replicate, which gives the same draws
+    as a fresh generator per replicate.
+    """
+    n = group.column.size
+    m = group.times.size
+    rows = stop - start
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(group.digest)])
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    draws = np.empty((rows, n), dtype=np.int64)
+    for i in range(rows):
+        fresh["state"]["counter"] = np.array([0, 0, 0, start + i], dtype=np.uint64)
+        bitgen.state = fresh
+        draws[i] = rng.integers(0, n, size=n)
+    cells = group.column[draws] + m * np.arange(rows)[:, None]
+    tot = np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
+    ev = np.bincount(cells[group.status[draws] == 1], minlength=rows * m)
+    return tot, ev.reshape(rows, m)
+
+
+def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
+                     seed: int, start: int, stop: int):
+    """One group's statistics for replicates [start, stop).
+
+    Returns ``(mu_bar, computable, rmean, has_events)``: per-fraction means
+    and computability flags (rows x K), restricted means at ``horizon``
+    (rows, or None) and whether the replicate kept any event.
+    """
+    tot, ev = _replicate_counts(group, seed, start, stop)
+    _, surv = _km_rows(tot, ev)
+    if grid is not None:
+        mu_bar, computable = _fraction_rows(group.times, surv, grid)
+    else:
+        mu_bar = np.empty((stop - start, 0))
+        computable = np.empty((stop - start, 0), dtype=bool)
+    rmean = None
+    if horizon is not None:
+        rmean = _restricted_mean_rows(group.times, surv, horizon)
+    return mu_bar, computable, rmean, ev.any(axis=1)
+
+
+def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
+    """Group-1-minus-group-0 statistic rows for the replicates in ``span``.
+
+    Columns are the grid fractions, then the restricted mean when a
+    horizon is given.  NaN marks a fraction not computable on either side
+    and every column of a replicate discarded for losing all events.
+    """
+    start, stop = span
+    mu0, ok0, rm0, ev0 = _replicate_stats(g0, grid, horizon, seed, start, stop)
+    mu1, ok1, rm1, ev1 = _replicate_stats(g1, grid, horizon, seed, start, stop)
+    diffs = mu1 - mu0
     diffs[~(ok0 & ok1)] = np.nan
+    if horizon is not None:
+        diffs = np.column_stack((diffs, rm1 - rm0))
+    diffs[~(ev0 & ev1)] = np.nan
     return diffs
 
 
-def _fraction_stat(grid: FractionGrid, ds: Dataset):
-    fm = fraction_means(fit_km(ds), grid)
-    return np.asarray(fm.mu_bar), np.asarray(fm.computable)
+def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
+                     seed: int, workers: int, block: int | None = None):
+    """All B replicate rows of :func:`_block_diffs`, in replicate order.
 
-
-def _restricted_stat(horizon: float, ds: Dataset):
-    value = restricted_mean(fit_km(ds), horizon)
-    return np.array([value]), np.array([True])
+    Blocks hold ``block`` replicates, by default as many as fit
+    ``_BLOCK_CELLS`` draws.  With ``workers > 1`` the same blocks are
+    mapped over a process pool, so the result does not depend on it.
+    """
+    p0, p1 = _prepare(g0), _prepare(g1)
+    if block is None:
+        block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
+    spans = [(s, min(s + block, B)) for s in range(0, B, block)]
+    work = partial(_block_diffs, p0, p1, grid, horizon, seed)
+    if workers > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            blocks = list(pool.map(work, spans))
+    else:
+        blocks = [work(span) for span in spans]
+    return np.concatenate(blocks)
 
 
 def _percentile_ci(diffs: np.ndarray, level: float) -> tuple[float, float]:
@@ -98,43 +197,72 @@ def _percentile_ci(diffs: np.ndarray, level: float) -> tuple[float, float]:
     return float(ordered[lo_rank - 1]), float(ordered[up_rank - 1])
 
 
-def _run_bootstrap(g0, g1, stat, point_values, B, level, seed, workers,
-                   floor_share) -> list[DiffEstimate]:
+def _estimate(point: float, col: np.ndarray, B: int, level: float,
+              floor_share: float) -> DiffEstimate:
+    col = col[~np.isnan(col)]
+    if col.size:
+        ci_lo, ci_up = _percentile_ci(col, level)
+    else:
+        ci_lo, ci_up = math.nan, math.nan
+    return DiffEstimate(
+        point=float(point),
+        ci_lower=ci_lo,
+        ci_upper=ci_up,
+        effective_replicates=int(col.size),
+        requested_replicates=B,
+        unreliable=col.size < floor_share * B,
+    )
+
+
+def bootstrap_compare(
+    g0: Dataset,
+    g1: Dataset,
+    grid: FractionGrid | None,
+    horizon: float | None = None,
+    B: int = 2000,
+    level: float = 0.95,
+    seed: int = 0,
+    workers: int = 1,
+    floor_share: float = 0.5,
+) -> BootstrapComparison:
+    """Bootstrap mu_bar(g1) - mu_bar(g0) per fraction and, at ``horizon``,
+    the restricted-mean difference, in one pass over the replicates.
+
+    Resampling is stratified: each replicate redraws within each group,
+    with replacement, preserving group sizes.  Replicates where a group
+    loses all its events are discarded; replicates where a fraction is not
+    computable on either side are dropped for that fraction only.  Point
+    estimates come from the original samples.  The caller is expected to
+    have truncated ``grid`` to the fractions both groups support (see
+    :func:`survfrac.fracmean.truncate_grid`).  Pass ``grid=None`` to
+    compare restricted means only.
+
+    Deterministic given (inputs, B, level, seed), for any ``workers``.
+    """
     if B < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if grid is None and horizon is None:
+        raise ValueError("nothing to compare: give a grid, a horizon or both")
 
-    d0 = _group_digest(g0)
-    d1 = _group_digest(g1)
-    work = partial(_replicate_diffs, g0, g1, d0, d1, seed, stat)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, range(B), chunksize=32))
-    else:
-        rows = [work(r) for r in range(B)]
+    c0, c1 = fit_km(g0), fit_km(g1)
+    points: list[float] = []
+    if grid is not None:
+        fm0 = fraction_means(c0, grid)
+        fm1 = fraction_means(c1, grid)
+        points += [b1 - b0 for b0, b1 in zip(fm0.mu_bar, fm1.mu_bar)]
+    if horizon is not None:
+        points.append(restricted_mean(c1, horizon) - restricted_mean(c0, horizon))
 
-    kept = np.array([row for row in rows if row is not None])
-    out: list[DiffEstimate] = []
-    for j, point in enumerate(point_values):
-        col = kept[:, j] if kept.size else np.empty(0)
-        col = col[~np.isnan(col)]
-        b_eff = col.size
-        if b_eff:
-            ci_lo, ci_up = _percentile_ci(col, level)
-        else:
-            ci_lo, ci_up = math.nan, math.nan
-        out.append(
-            DiffEstimate(
-                point=float(point),
-                ci_lower=ci_lo,
-                ci_upper=ci_up,
-                effective_replicates=int(b_eff),
-                requested_replicates=B,
-                unreliable=b_eff < floor_share * B,
-            )
-        )
-    return out
+    diffs = _replicate_diffs(g0, g1, grid, horizon, B, seed, workers)
+    out = [_estimate(p, diffs[:, j], B, level, floor_share)
+           for j, p in enumerate(points)]
+    if horizon is None:
+        return BootstrapComparison(out, None)
+    return BootstrapComparison(out[:-1], out[-1])
 
 
 def bootstrap_fraction_diff(
@@ -149,22 +277,10 @@ def bootstrap_fraction_diff(
 ) -> list[DiffEstimate]:
     """Bootstrap the per-fraction difference mu_bar(g1) - mu_bar(g0).
 
-    Resampling is stratified: each replicate redraws within each group,
-    with replacement, preserving group sizes.  Replicates where a group
-    loses all its events are discarded; replicates where a fraction is not
-    computable on either side are dropped for that fraction only.  Point
-    estimates come from the original samples.  The caller is expected to
-    have truncated ``grid`` to the fractions both groups support (see
-    :func:`survfrac.fracmean.truncate_grid`).
-
-    Deterministic given (inputs, B, level, seed), for any ``workers``.
+    The fraction part of :func:`bootstrap_compare`.
     """
-    fm0 = fraction_means(fit_km(g0), grid)
-    fm1 = fraction_means(fit_km(g1), grid)
-    points = np.asarray(fm1.mu_bar) - np.asarray(fm0.mu_bar)
-    stat = partial(_fraction_stat, grid)
-    return _run_bootstrap(g0, g1, stat, points, B, level, seed, workers,
-                          floor_share)
+    return bootstrap_compare(g0, g1, grid, B=B, level=level, seed=seed,
+                             workers=workers, floor_share=floor_share).fractions
 
 
 def bootstrap_restricted_mean_diff(
@@ -177,10 +293,10 @@ def bootstrap_restricted_mean_diff(
     workers: int = 1,
     floor_share: float = 0.5,
 ) -> DiffEstimate:
-    """Bootstrap the difference of restricted means at a shared horizon."""
-    point = restricted_mean(fit_km(g1), horizon) - restricted_mean(
-        fit_km(g0), horizon
-    )
-    stat = partial(_restricted_stat, horizon)
-    return _run_bootstrap(g0, g1, stat, np.array([point]), B, level, seed,
-                          workers, floor_share)[0]
+    """Bootstrap the difference of restricted means at a shared horizon.
+
+    The restricted-mean part of :func:`bootstrap_compare`.
+    """
+    return bootstrap_compare(g0, g1, None, horizon=horizon, B=B, level=level,
+                             seed=seed, workers=workers,
+                             floor_share=floor_share).restricted

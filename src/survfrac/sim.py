@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from .dataset import Dataset
 from .fracmean import FractionGrid, fraction_mean_bounds, fraction_means
@@ -47,6 +46,9 @@ def true_fraction_means(alpha: float, beta: float,
         raise ValueError(
             f"mean diverges for shape beta={beta} <= 1 with the grid reaching 1"
         )
+
+    # scipy is imported here, its only use, to keep it off the CLI start-up
+    from scipy import integrate
 
     def q(p: float) -> float:
         return alpha * (p / (1.0 - p)) ** (1.0 / beta)

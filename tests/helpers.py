@@ -100,3 +100,17 @@ def km_curve_of(times, status):
             status=np.asarray(status, dtype=np.int64),
         )
     )
+
+
+def resample(ds, seed, digest, replicate):
+    """One bootstrap replicate drawn from a fresh Philox generator.
+
+    The per-replicate reference for the batched engine: the same stream
+    contract (key = (seed, group digest), counter = (0, 0, 0, replicate)),
+    drawn the slow way.
+    """
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(digest)])
+    counter = np.array([0, 0, 0, replicate], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    idx = rng.integers(0, len(ds), size=len(ds))
+    return Dataset(times=ds.times[idx], status=ds.status[idx])

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survfrac
 from survfrac import FractionGrid, bootstrap_fraction_diff, parse_csv, split_by_group
 from survfrac.cli import main
 
@@ -224,6 +229,24 @@ class TestCompare:
         assert code == 2
         assert "zzz" in err
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "-1", "soon"])
+    def test_bad_restricted_mean_horizon_exit_2(self, run, two_arm_csv, horizon):
+        code, out, err = run(
+            "compare", "--input", two_arm_csv, "--group-col", "arm",
+            "--ref-group", "allo", "--bootstrap", "100",
+            "--restricted-mean", horizon,
+        )
+        assert code == 2
+        assert out == ""
+        assert "horizon" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_usage_error(self, two_arm_csv, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--input", two_arm_csv, "--group-col", "arm",
+                  "--ref-group", "allo", "--workers", workers])
+        assert exc.value.code == 2
+
 
 class TestSimulate:
     def test_flags_and_scale_equivariance(self, run):
@@ -273,6 +296,12 @@ class TestSimulate:
     def test_invalid_parameters_exit_2(self, run):
         code, _, err = run("simulate", "--n-datasets", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_usage_error(self, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n-datasets", "2", "--workers", workers])
+        assert exc.value.code == 2
 
     def test_single_replicate_passthrough(self, run):
         code, out, _ = run(
@@ -376,3 +405,12 @@ class TestJsonRoundTrip:
         doc = json.loads(out)
         mu = doc["sections"][0]["rows"][0]["mu"]
         assert mu == (0.1 + 0.30000000000000004 + 7.0) / 3
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the simulation truth; the CLI must start without it
+    src = Path(survfrac.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, survfrac.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
