@@ -35,7 +35,11 @@ CONVENTIONS = {
 
 def _default_format() -> str:
     fmt = os.environ.get("SURVFRAC_FORMAT", "table")
-    return fmt if fmt in FORMATS else "table"
+    if fmt in FORMATS:
+        return fmt
+    print(f"survfrac: warning: unknown SURVFRAC_FORMAT {fmt!r}, expected one of "
+          f"{', '.join(FORMATS)}; using table", file=sys.stderr)
+    return "table"
 
 
 def _worker_count(text: str) -> int:

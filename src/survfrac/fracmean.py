@@ -217,6 +217,64 @@ def _fraction_rows(times, surv, grid: FractionGrid):
     return mu_bar, computable
 
 
+def _window_overlap_rows(edge, grid: FractionGrid) -> np.ndarray:
+    """Row form of the overlaps in :func:`_window_masses`: (rows x K x cols).
+
+    ``edge`` holds survival step rows with the leading value 1 implied.
+    """
+    prev = np.empty_like(edge)
+    prev[:, 0] = 1.0
+    prev[:, 1:] = edge[:, :-1]
+    gammas = np.asarray(grid.gammas)[:, None]
+    overlap = (np.minimum(prev[:, None, :], gammas[:-1])
+               - np.maximum(edge[:, None, :], gammas[1:]))
+    return np.maximum(overlap, 0.0, out=overlap)
+
+
+def _window_mass_rows(times, overlap, width) -> np.ndarray:
+    """``times[r, :w] @ overlap[r, j, :w]`` with ``w = width[r]``: rows x K.
+
+    Each mass is the very product :func:`_window_masses` takes over the
+    same columns: a stacked row-by-column matmul calls the same BLAS dot
+    per pair, which may fuse multiply-adds as no numpy row reduction
+    does.  Rows are stacked by width.
+    """
+    out = np.empty(overlap.shape[:2])
+    for w in np.unique(width):
+        rows = np.flatnonzero(width == w)
+        out[rows] = np.matmul(times[rows, None, None, :w],
+                              overlap[rows, :, :w, None])[..., 0, 0]
+    return out
+
+
+def _fraction_mean_rows(curves, grid: FractionGrid):
+    """Row form of :func:`fraction_means` on the curves of
+    :func:`survfrac.km._fit_rows`: ``(mu, computable, events)``, rows x K."""
+    valid = (np.arange(curves.times.shape[1]) < curves.steps[:, None])[:, None, :]
+    overlap = _window_overlap_rows(curves.survival, grid)
+    mu = _window_mass_rows(curves.times, overlap, curves.steps)
+    lows = np.asarray(grid.gammas[1:])[:, None]
+    computable = np.any(valid & (curves.survival[:, None, :] <= lows), axis=2)
+    events = np.where(valid & (overlap > 0.0), curves.events[:, None, :], 0).sum(axis=2)
+    return mu, computable, events
+
+
+def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid):
+    """Row form of :func:`fraction_mean_bounds` on the bands of
+    :func:`survfrac.km._band_rows`: ``(lower, upper)`` masses, rows x K.
+
+    Rows without a band get ``(nan, inf)``, as the study reports them.
+    """
+    lower_edge = np.minimum.accumulate(lower, axis=1)
+    upper_edge = np.minimum.accumulate(upper, axis=1)
+    last = upper_edge[np.arange(width.size), width - 1]
+    reaches = defined[:, None] & (last[:, None] <= np.asarray(grid.gammas[1:]))
+    lo_mass = _window_mass_rows(times, _window_overlap_rows(lower_edge, grid), width)
+    up_mass = _window_mass_rows(times, _window_overlap_rows(upper_edge, grid), width)
+    return (np.where(defined[:, None], lo_mass, np.nan),
+            np.where(reaches, up_mass, np.inf))
+
+
 def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
     """Row form of :func:`restricted_mean`, laid out as :func:`_fraction_rows`."""
     edges = np.minimum(times, horizon)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -20,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
+from .engine import _BLOCK_CELLS, _map_blocks
 from .fracmean import (
     FractionGrid,
     _fraction_rows,
@@ -36,11 +35,6 @@ __all__ = [
     "bootstrap_fraction_diff",
     "bootstrap_restricted_mean_diff",
 ]
-
-# Cells (replicate rows x draws per row) evaluated at once.  Bounds the
-# engine's working arrays to a few MiB whatever B is.
-_BLOCK_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class DiffEstimate:
@@ -171,14 +165,8 @@ def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
     p0, p1 = _prepare(g0), _prepare(g1)
     if block is None:
         block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
-    spans = [(s, min(s + block, B)) for s in range(0, B, block)]
     work = partial(_block_diffs, p0, p1, grid, horizon, seed)
-    if workers > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            blocks = list(pool.map(work, spans))
-    else:
-        blocks = [work(span) for span in spans]
+    blocks = _map_blocks(work, B, block, workers)
     return np.concatenate(blocks)
 
 

@@ -119,6 +119,65 @@ def _km_rows(tot: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at_risk, survival
 
 
+class _CurveRows(NamedTuple):
+    """Row form of :class:`KmCurve` for samples of one size ``n``.
+
+    Row ``r`` holds one curve's steps in its first ``steps[r]`` columns,
+    in time order; the columns after them belong to no step.
+    """
+
+    times: np.ndarray
+    at_risk: np.ndarray
+    events: np.ndarray
+    survival: np.ndarray
+    greenwood: np.ndarray
+    steps: np.ndarray
+    n: int
+
+
+def _fit_rows(times: np.ndarray, status: np.ndarray) -> _CurveRows:
+    """Row form of :func:`fit_km`: one curve per row of ``(times, status)``.
+
+    Each row is sorted and its tied times merged into count columns,
+    events first, as ``np.unique`` does in :func:`fit_km`; one
+    :func:`_km_rows` call then serves every row.  Each row's steps equal
+    its ``fit_km`` curve bit for bit.
+    """
+    rows, n = times.shape
+    if not np.all(np.any(status, axis=1)):
+        raise EmptyEventsError("cannot fit a curve to a sample with no events")
+
+    order = np.argsort(times, axis=1, kind="stable")
+    t = np.take_along_axis(times, order, axis=1)
+    event = np.take_along_axis(status, order, axis=1) == 1
+    first = np.ones((rows, n), dtype=bool)
+    first[:, 1:] = t[:, 1:] != t[:, :-1]
+    cells = (np.cumsum(first, axis=1) - 1 + n * np.arange(rows)[:, None]).ravel()
+    tot = np.bincount(cells, minlength=rows * n).reshape(rows, n)
+    ev = np.bincount(cells[event.ravel()], minlength=rows * n).reshape(rows, n)
+    utimes = np.zeros(rows * n)
+    utimes[cells[first.ravel()]] = t[first]
+    at_risk, survival = _km_rows(tot, ev)
+
+    # stable-sort each row's event columns to its front
+    has_event = ev > 0
+    steps = has_event.sum(axis=1)
+    pick = np.argsort(~has_event, axis=1, kind="stable")[:, : steps.max()]
+    n_at = np.take_along_axis(at_risk, pick, axis=1)
+    d = np.take_along_axis(ev, pick, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gw_terms = np.where(n_at > d, d / (n_at * (n_at - d)), np.inf)
+    return _CurveRows(
+        times=np.take_along_axis(utimes.reshape(rows, n), pick, axis=1),
+        at_risk=n_at,
+        events=d,
+        survival=np.take_along_axis(survival, pick, axis=1),
+        greenwood=np.cumsum(gw_terms, axis=1),
+        steps=steps,
+        n=n,
+    )
+
+
 def fit_km(ds: Dataset) -> KmCurve:
     """Fit the product-limit estimator with the Greenwood accumulator.
 
@@ -331,3 +390,41 @@ def ep_band(
         range=(t_lo, t_hi),
         a_range=(a_lo, a_hi),
     )
+
+
+def _band_rows(curves: _CurveRows, level: float):
+    """Row form of :func:`ep_band` on its default range.
+
+    Returns ``(defined, width, lower, upper)``: whether each row's band
+    exists, how many of the row's leading steps the band range holds, and
+    the clamped band edges over all columns (meaningful only on the first
+    ``width`` columns of a defined row).  The critical value is solved per
+    defined row by :func:`ep_critical_value`, so every defined row's edges
+    equal its ``ep_band`` edges bit for bit.
+    """
+    s, gw, n = curves.survival, curves.greenwood, curves.n
+    rows, cols = s.shape
+    col = np.arange(cols)
+    usable = ((s > 0.0) & (curves.at_risk >= MIN_RISK_SHARE * n)
+              & (col < curves.steps[:, None]))
+    defined = usable.any(axis=1)
+    # the range ends at the last usable step
+    width = cols - np.argmax(usable[:, ::-1], axis=1)
+    inside = col < width[:, None]
+    defined &= ~np.any(inside & ((s <= 0.0) | ~np.isfinite(gw)), axis=1)
+    with np.errstate(invalid="ignore"):
+        a_vals = n * gw / (1.0 + n * gw)
+    a_lo = a_vals[:, 0]
+    a_hi = a_vals[np.arange(rows), width - 1]
+    defined &= a_lo < a_hi
+    coeff = np.full(rows, np.nan)
+    for r in np.flatnonzero(defined):
+        try:
+            coeff[r] = ep_critical_value(float(a_lo[r]), float(a_hi[r]), level)
+        except BandUndefinedError:
+            defined[r] = False
+    with np.errstate(invalid="ignore"):
+        half_width = coeff[:, None] * s * np.sqrt(gw)
+    lower = np.clip(s - half_width, 0.0, 1.0)
+    upper = np.clip(s + half_width, 0.0, 1.0)
+    return defined, width, lower, upper

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .dataset import Dataset
-from .fracmean import FractionGrid, fraction_mean_bounds, fraction_means
-from .km import BandUndefinedError, ep_band, fit_km
+from .engine import _BLOCK_CELLS, _map_blocks
+from .fracmean import FractionGrid, _fraction_bound_rows, _fraction_mean_rows
+from .km import _band_rows, _fit_rows
 
 __all__ = [
     "SimConfig",
@@ -91,22 +91,36 @@ class SimConfig:
             raise ValueError("band_level must be in (0, 1)")
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    # Counter-based stream: one Philox key per (seed, replicate).
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+def _draw_rows(cfg: SimConfig, start: int, stop: int):
+    """Samples [start, stop) as ``(times, status)`` rows.
+
+    Sample i draws its event uniforms, then its censoring uniforms, from
+    the Philox stream keyed by (seed, i) at counter 0.  One generator is
+    reused with its key reset per sample, which gives the same draws as a
+    fresh generator per sample.
+    """
+    n = cfg.n
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    u = np.empty((stop - start, 2 * n))
+    for i in range(stop - start):
+        fresh["state"]["key"] = np.array([seed, np.uint64(start + i)])
+        bitgen.state = fresh
+        rng.random(out=u[i])
+    u_event, u_censor = u[:, :n], u[:, n:]
+    t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
+    c = cfg.censor_upper * u_censor
+    return np.minimum(t, c), (t <= c).astype(np.int64)
 
 
 def generate_replicate(cfg: SimConfig, index: int) -> Dataset:
     """Draw one censored sample; deterministic given (cfg.seed, index)."""
     if not 0 <= index < cfg.n_datasets:
         raise ValueError(f"index {index} outside [0, {cfg.n_datasets})")
-    rng = _replicate_rng(cfg.seed, index)
-    u_event = rng.random(cfg.n)
-    u_censor = rng.random(cfg.n)
-    t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
-    c = cfg.censor_upper * u_censor
-    return Dataset(times=np.minimum(t, c), status=(t <= c).astype(np.int64))
+    times, status = _draw_rows(cfg, index, index + 1)
+    return Dataset(times=times[0], status=status[0])
 
 
 @dataclass(frozen=True)
@@ -133,65 +147,57 @@ class SimSummary:
     config: SimConfig
 
 
-def _replicate_stats(cfg: SimConfig, index: int):
-    """Per-replicate contribution: estimates, flags, bounds, event counts."""
-    ds = generate_replicate(cfg, index)
-    curve = fit_km(ds)
-    fm = fraction_means(curve, cfg.grid)
-    k = cfg.grid.k
-    try:
-        band = ep_band(curve, cfg.band_level)
-        bounds = fraction_mean_bounds(curve, band, cfg.grid)
-        band_ok = True
-    except BandUndefinedError:
-        bounds = ((math.nan, math.inf),) * k
-        band_ok = False
-    censored = len(ds) - ds.n_events
-    return (fm.mu, fm.computable, fm.events, bounds, band_ok, censored)
+def _study_rows(times, status, grid: FractionGrid, level: float):
+    """Per-sample statistics of the samples in the rows of ``(times, status)``.
+
+    Returns ``(mu, computable, events, lower, upper, band_ok, censored)``:
+    the fraction means, their flags, event counts and band-integrated
+    bounds (rows x K), whether the band exists and the censored count
+    (rows).  Each row equals what :func:`survfrac.fit_km`,
+    :func:`survfrac.fraction_means`, :func:`survfrac.ep_band` and
+    :func:`survfrac.fraction_mean_bounds` give for that sample, bit for
+    bit; rows without a band get bounds ``(nan, inf)``.
+    """
+    curves = _fit_rows(times, status)
+    mu, computable, events = _fraction_mean_rows(curves, grid)
+    band_ok, width, lower, upper = _band_rows(curves, level)
+    low, up = _fraction_bound_rows(curves.times, lower, upper, width, band_ok, grid)
+    censored = times.shape[1] - status.sum(axis=1)
+    return mu, computable, events, low, up, band_ok, censored
+
+
+def _study_block(cfg: SimConfig, span):
+    return _study_rows(*_draw_rows(cfg, *span), cfg.grid, cfg.band_level)
 
 
 def run_study(cfg: SimConfig, workers: int = 1) -> SimSummary:
     """Run the full study and aggregate the per-fraction columns.
 
-    Replicates are independent; with ``workers > 1`` they are evaluated in
+    Replicates are evaluated in blocks of rows, with ``workers > 1`` over
     a process pool.  Aggregation is an ordered reduction over replicate
     index, so results are identical for any degree of parallelism.
     """
-    indices = range(cfg.n_datasets)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(partial(_replicate_stats, cfg), indices, chunksize=64)
-            )
-    else:
-        results = [_replicate_stats(cfg, i) for i in indices]
+    block = max(1, _BLOCK_CELLS // cfg.n)
+    parts = _map_blocks(partial(_study_block, cfg), cfg.n_datasets, block, workers)
+    mu, computable, events, lower, upper, band_ok, censored = (
+        np.concatenate(col) for col in zip(*parts)
+    )
+
+    def total(values, mask):
+        # the running sum a loop over replicates in index order would take
+        return np.cumsum(np.where(mask, values, 0.0), axis=0)[-1]
 
     k = cfg.grid.k
     n_rep = cfg.n_datasets
-    mu_sum = np.zeros(k)
-    mu_cnt = np.zeros(k, dtype=int)
-    ev_sum = np.zeros(k)
-    low_sum = np.zeros(k)
-    low_cnt = np.zeros(k, dtype=int)
-    up_sum = np.zeros(k)
-    up_cnt = np.zeros(k, dtype=int)
-    band_defined = 0
-    censored_total = 0
-
-    for mu, computable, events, bounds, band_ok, censored in results:
-        censored_total += censored
-        band_defined += band_ok
-        for j in range(k):
-            if computable[j]:
-                mu_cnt[j] += 1
-                mu_sum[j] += mu[j]
-                ev_sum[j] += events[j]
-                if band_ok:
-                    low_cnt[j] += 1
-                    low_sum[j] += bounds[j][0]
-            if band_ok and math.isfinite(bounds[j][1]):
-                up_cnt[j] += 1
-                up_sum[j] += bounds[j][1]
+    band = band_ok[:, None]
+    low_mask = computable & band
+    up_mask = band & np.isfinite(upper)
+    mu_sum, mu_cnt = total(mu, computable), computable.sum(axis=0)
+    ev_sum = total(events, computable)
+    low_sum, low_cnt = total(lower, low_mask), low_mask.sum(axis=0)
+    up_sum, up_cnt = total(upper, up_mask), up_mask.sum(axis=0)
+    band_defined = int(band_ok.sum())
+    censored_total = int(censored.sum())
 
     def ratio(num, cnt):
         return tuple(

@@ -1,8 +1,19 @@
 """Shared test utilities: sample generators and independent oracles."""
 
+import math
+
 import numpy as np
 
-from survfrac import Dataset, FractionGrid, fit_km, quantile
+from survfrac import (
+    BandUndefinedError,
+    Dataset,
+    FractionGrid,
+    ep_band,
+    fit_km,
+    fraction_mean_bounds,
+    fraction_means,
+    quantile,
+)
 
 
 def random_censored_dataset(rng, n=None, n_range=(5, 50), tie_share=0.0):
@@ -114,3 +125,40 @@ def resample(ds, seed, digest, replicate):
     rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
     idx = rng.integers(0, len(ds), size=len(ds))
     return Dataset(times=ds.times[idx], status=ds.status[idx])
+
+
+def study_replicate(cfg, index):
+    """One simulation-study sample drawn from a fresh Philox generator.
+
+    The stream contract of the batched study (key = (seed, index), counter
+    0, event uniforms then censoring uniforms), drawn the slow way.
+    """
+    key = np.array([np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+    rng = np.random.Generator(np.random.Philox(key=key))
+    u_event = rng.random(cfg.n)
+    u_censor = rng.random(cfg.n)
+    t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
+    c = cfg.censor_upper * u_censor
+    return Dataset(times=np.minimum(t, c), status=(t <= c).astype(np.int64))
+
+
+def replicate_stats(cfg, index):
+    """One study replicate through the public per-sample chain.
+
+    The per-replicate reference for the block-batched study: returns
+    (mu, computable, events, bounds, band_ok, censored) from
+    ``fit_km``, ``fraction_means``, ``ep_band`` and
+    ``fraction_mean_bounds``; a replicate without a band gets the bounds
+    (nan, inf).
+    """
+    ds = study_replicate(cfg, index)
+    curve = fit_km(ds)
+    fm = fraction_means(curve, cfg.grid)
+    try:
+        band = ep_band(curve, cfg.band_level)
+        bounds = fraction_mean_bounds(curve, band, cfg.grid)
+        band_ok = True
+    except BandUndefinedError:
+        bounds = ((math.nan, math.inf),) * cfg.grid.k
+        band_ok = False
+    return fm.mu, fm.computable, fm.events, bounds, band_ok, len(ds) - ds.n_events

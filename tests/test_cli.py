@@ -137,6 +137,22 @@ class TestEstimate:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
 
+    def test_unknown_env_format_warns_and_keeps_table(self, run, simple_csv,
+                                                       monkeypatch):
+        argv = ("estimate", "--input", simple_csv, "--lambdas", "0.5")
+        monkeypatch.delenv("SURVFRAC_FORMAT", raising=False)
+        _, table, quiet = run(*argv)
+        monkeypatch.setenv("SURVFRAC_FORMAT", "xml")
+        code, out, err = run(*argv)
+        assert code == 0
+        assert out == table
+        assert quiet == ""
+        assert err.count("\n") == 1
+        assert "warning" in err and "'xml'" in err
+        # an explicit --format never reads the variable
+        _, _, err = run(*argv, "--format", "csv")
+        assert err == ""
+
 
 class TestCompare:
     def test_identical_groups_zero_diffs(self, run, tmp_path):
