@@ -6,7 +6,6 @@ from .dataset import (
     DataError,
     Dataset,
     EmptyEventsError,
-    Observation,
     RowError,
     SchemaError,
     parse_csv,
@@ -54,7 +53,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "EmptyEventsError",
-    "Observation",
     "RowError",
     "SchemaError",
     "parse_csv",

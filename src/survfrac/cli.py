@@ -73,25 +73,23 @@ def _load(args) -> Dataset:
     )
 
 
-def _estimate_rows(curve, grid, bounds):
-    rows = []
+def _estimate_columns(curve, grid, bounds):
     fm = fraction_means(curve, grid)
-    for j in range(grid.k):
-        lo, up = bounds[j] if bounds is not None else (None, None)
-        rows.append(
-            {
-                "k": j + 1,
-                "lambda": grid.lambdas[j + 1],
-                "mu": fm.mu[j],
-                "mu_bar": fm.mu_bar[j],
-                "lower": lo,
-                "upper": up,
-                "upper_finite": (math.isfinite(up) if up is not None else None),
-                "computable": fm.computable[j],
-                "events": fm.events[j],
-            }
-        )
-    return rows
+    lower = upper = upper_finite = [None] * grid.k
+    if bounds is not None:
+        lower, upper = zip(*bounds)
+        upper_finite = [math.isfinite(up) for up in upper]
+    return {
+        "k": list(range(1, grid.k + 1)),
+        "lambda": grid.lambdas[1:],
+        "mu": fm.mu,
+        "mu_bar": fm.mu_bar,
+        "lower": lower,
+        "upper": upper,
+        "upper_finite": upper_finite,
+        "computable": fm.computable,
+        "events": fm.events,
+    }
 
 
 def cmd_estimate(args) -> OutputDocument:
@@ -123,12 +121,10 @@ def cmd_estimate(args) -> OutputDocument:
         band_coefficient=band_coeff,
         notes=notes,
     )
-    cols = ["k", "lambda", "mu", "mu_bar", "lower", "upper", "upper_finite",
-            "computable", "events"]
     return OutputDocument(
         command="estimate",
         metadata=meta,
-        sections=[Section(columns=cols, rows=_estimate_rows(curve, grid, bounds))],
+        sections=[Section(columns=_estimate_columns(curve, grid, bounds))],
     )
 
 
@@ -166,25 +162,19 @@ def cmd_compare(args) -> OutputDocument:
         g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
         seed=args.seed, workers=args.workers,
     )
-    rows = []
-    for j, est in enumerate(result.fractions):
-        rows.append(
-            {
-                "k": j + 1,
-                "lambda": grid.lambdas[j + 1],
-                "diff": est.point,
-                "ci_lower": est.ci_lower,
-                "ci_upper": est.ci_upper,
-                "effective_replicates": est.effective_replicates,
-                "unreliable": est.unreliable,
-            }
-        )
+    fractions = result.fractions
     sections = [
         Section(
             label="fraction_mean_differences",
-            columns=["k", "lambda", "diff", "ci_lower", "ci_upper",
-                     "effective_replicates", "unreliable"],
-            rows=rows,
+            columns={
+                "k": list(range(1, grid.k + 1)),
+                "lambda": grid.lambdas[1:],
+                "diff": [est.point for est in fractions],
+                "ci_lower": [est.ci_lower for est in fractions],
+                "ci_upper": [est.ci_upper for est in fractions],
+                "effective_replicates": [est.effective_replicates for est in fractions],
+                "unreliable": [est.unreliable for est in fractions],
+            },
         )
     ]
 
@@ -193,18 +183,14 @@ def cmd_compare(args) -> OutputDocument:
         sections.append(
             Section(
                 label="restricted_mean_difference",
-                columns=["horizon", "diff", "ci_lower", "ci_upper",
-                         "effective_replicates", "unreliable"],
-                rows=[
-                    {
-                        "horizon": horizon,
-                        "diff": est.point,
-                        "ci_lower": est.ci_lower,
-                        "ci_upper": est.ci_upper,
-                        "effective_replicates": est.effective_replicates,
-                        "unreliable": est.unreliable,
-                    }
-                ],
+                columns={
+                    "horizon": [horizon],
+                    "diff": [est.point],
+                    "ci_lower": [est.ci_lower],
+                    "ci_upper": [est.ci_upper],
+                    "effective_replicates": [est.effective_replicates],
+                    "unreliable": [est.unreliable],
+                },
             )
         )
 
@@ -277,21 +263,17 @@ def cmd_simulate(args) -> OutputDocument:
         raise DataError(str(exc)) from None
 
     summary = run_study(cfg, workers=args.workers)
-    rows = []
-    for j in range(grid.k):
-        rows.append(
-            {
-                "k": j + 1,
-                "lambda": grid.lambdas[j + 1],
-                "true_mu": summary.true_mu[j],
-                "mean_estimate": summary.mean_estimate[j],
-                "mean_lower": summary.mean_lower[j],
-                "mean_upper": summary.mean_upper[j],
-                "computable_share": summary.computable_share[j],
-                "finite_upper_share": summary.finite_upper_share[j],
-                "mean_events": summary.mean_events[j],
-            }
-        )
+    columns = {
+        "k": list(range(1, grid.k + 1)),
+        "lambda": grid.lambdas[1:],
+        "true_mu": summary.true_mu,
+        "mean_estimate": summary.mean_estimate,
+        "mean_lower": summary.mean_lower,
+        "mean_upper": summary.mean_upper,
+        "computable_share": summary.computable_share,
+        "finite_upper_share": summary.finite_upper_share,
+        "mean_events": summary.mean_events,
+    }
     meta = _base_metadata(
         n_datasets=cfg.n_datasets,
         n=cfg.n,
@@ -304,47 +286,28 @@ def cmd_simulate(args) -> OutputDocument:
         censoring_rate=summary.censoring_rate,
         band_undefined_count=summary.band_undefined_count,
     )
-    cols = ["k", "lambda", "true_mu", "mean_estimate", "mean_lower",
-            "mean_upper", "computable_share", "finite_upper_share", "mean_events"]
     return OutputDocument(command="simulate", metadata=meta,
-                          sections=[Section(columns=cols, rows=rows)])
+                          sections=[Section(columns=columns)])
 
 
-def _curve_rows(curve, band):
-    rows = [
-        {
-            "time": 0.0,
-            "survival": 1.0,
-            "at_risk": curve.n,
-            "events": 0,
-            "greenwood": 0.0,
-            "lower": None,
-            "upper": None,
-        }
-    ]
-    lower = upper = [None] * len(curve)
+def _curve_columns(curve, band):
+    """The curve's columns, led by the row at time 0; the band edges are
+    NaN, rendered as absent, outside the band range."""
+    edges = np.full((2, len(curve)), np.nan)
     if band is not None:
-        # one lookup for both edges; None outside the band range
-        edges = _step_lookup(band.times, np.stack((band.lower, band.upper)),
-                             curve.times).astype(object)
-        edges[:, (curve.times < band.range[0]) | (curve.times > band.range[1])] = None
-        lower, upper = edges.tolist()
-    for t, s, n, d, g, lo, up in zip(
-        curve.times.tolist(), curve.survival.tolist(), curve.at_risk.tolist(),
-        curve.events.tolist(), curve.greenwood.tolist(), lower, upper,
-    ):
-        rows.append(
-            {
-                "time": t,
-                "survival": s,
-                "at_risk": n,
-                "events": d,
-                "greenwood": g,
-                "lower": lo,
-                "upper": up,
-            }
-        )
-    return rows
+        # one lookup for both edges
+        inside = (curve.times >= band.range[0]) & (curve.times <= band.range[1])
+        edges[:, inside] = _step_lookup(band.times, np.stack((band.lower, band.upper)),
+                                        curve.times[inside])
+    return {
+        "time": np.concatenate(([0.0], curve.times)),
+        "survival": np.concatenate(([1.0], curve.survival)),
+        "at_risk": np.concatenate(([curve.n], curve.at_risk)),
+        "events": np.concatenate(([0], curve.events)),
+        "greenwood": np.concatenate(([0.0], curve.greenwood)),
+        "lower": np.concatenate(([np.nan], edges[0])),
+        "upper": np.concatenate(([np.nan], edges[1])),
+    }
 
 
 def cmd_km_curve(args) -> OutputDocument:
@@ -356,7 +319,6 @@ def cmd_km_curve(args) -> OutputDocument:
 
     notes = []
     sections = []
-    cols = ["time", "survival", "at_risk", "events", "greenwood", "lower", "upper"]
     for label, sub in groups.items():
         curve = fit_km(sub)
         band = None
@@ -368,7 +330,7 @@ def cmd_km_curve(args) -> OutputDocument:
                     f"band undefined for {label or 'sample'}: {exc}"
                 )
         sections.append(
-            Section(label=label, columns=cols, rows=_curve_rows(curve, band))
+            Section(label=label, columns=_curve_columns(curve, band))
         )
 
     meta = _base_metadata(

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Observation",
     "Dataset",
     "DataError",
     "SchemaError",
@@ -42,12 +41,6 @@ class EmptyEventsError(DataError):
     """A sample contains no observed events, so nothing is estimable."""
 
 
-class Observation(NamedTuple):
-    time: float
-    status: int
-    group: str | None = None
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An ordered right-censored sample.
@@ -64,7 +57,6 @@ class Dataset:
     times: np.ndarray
     status: np.ndarray
     groups: tuple[str, ...] | None = None
-    time_unit: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
@@ -77,9 +69,9 @@ class Dataset:
             raise DataError("dataset is empty")
         if times.shape != status.shape:
             raise DataError("times and status have different lengths")
-        if not np.all(np.isfinite(times)) or np.any(times < 0):
+        if not np.isfinite(times).all() or (times < 0).any():
             raise DataError("times must be finite and nonnegative")
-        if not np.all((status == 0) | (status == 1)):
+        if not ((status == 0) | (status == 1)).all():
             raise DataError("status values must be 0 or 1")
         if self.groups is not None and len(self.groups) != times.size:
             raise DataError("groups and times have different lengths")
@@ -90,14 +82,6 @@ class Dataset:
     @property
     def n_events(self) -> int:
         return int(self.status.sum())
-
-    @property
-    def observations(self) -> list[Observation]:
-        groups = self.groups if self.groups is not None else [None] * len(self)
-        return [
-            Observation(float(t), int(s), g)
-            for t, s, g in zip(self.times, self.status, groups)
-        ]
 
 
 def _open_source(source):
@@ -117,12 +101,16 @@ def parse_csv(
     time_col: str = "time",
     status_col: str = "status",
     group_col: str | None = None,
-    time_unit: str | None = None,
 ) -> Dataset:
     """Read a delimited text file into a :class:`Dataset`.
 
     Columns are located by name in the header row, not by position.  Row
-    numbering in error messages starts at 1 for the first data row.
+    numbering in error messages starts at 1 for the first data row; blank
+    rows are skipped but still counted.
+
+    Each needed column's cells are streamed into a list of their own and
+    converted and checked as whole columns; only when a check fails are
+    the cells walked row by row, to name the first bad row.
 
     Raises
     ------
@@ -146,16 +134,79 @@ def parse_csv(
             raise SchemaError(f"column {name!r} not found in header {header}")
         index[name] = header.index(name)
 
+    width = len(header)
+    ti, si = index[time_col], index[status_col]
+    gi = index[group_col] if group_col is not None else None
+    t_cells: list[str] = []
+    s_cells: list[str] = []
+    g_cells: list[str] | None = [] if gi is not None else None
+    blank: list[int] = []
+    short = None
+    for row_no, row in enumerate(reader, start=1):
+        # a row whose time cell holds text is neither blank nor short
+        if len(row) < width or not row[ti].strip():
+            if all(cell.strip() == "" for cell in row):
+                blank.append(row_no)
+                continue
+            if len(row) < width:
+                short = RowError(row_no, f"expected {width} cells, got {len(row)}")
+                break
+        t_cells.append(row[ti])
+        s_cells.append(row[si])
+        if g_cells is not None:
+            g_cells.append(row[gi])
+
+    columns = _convert_columns(t_cells, s_cells, g_cells)
+    if columns is None:
+        columns = _convert_rows(t_cells, s_cells, g_cells, blank, group_col)
+    if short is not None:
+        raise short
+    times, status, groups = columns
+    if times.size == 0:
+        raise DataError("input has no data rows")
+    if not status.any():
+        raise EmptyEventsError("input contains no observed events")
+    return Dataset(times=times, status=status, groups=groups)
+
+
+def _convert_columns(t_cells, s_cells, g_cells):
+    """Whole-column conversion and checks: ``(times, status, groups)``, or
+    None when some cell fails them.
+
+    ``float`` and ``int`` skip the surrounding whitespace that
+    ``str.strip`` removes, except the separators U+001C to U+001F; a cell
+    padded with those fails here and is converted by
+    :func:`_convert_rows`, to the same value.
+    """
+    try:
+        times = np.array(list(map(float, t_cells)), dtype=float)
+        status = np.array(list(map(int, s_cells)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.isfinite(times).all() and (times >= 0).all()
+            and ((status == 0) | (status == 1)).all()):
+        return None
+    groups = None
+    if g_cells is not None:
+        groups = tuple(map(str.strip, g_cells))
+        if "" in groups:
+            return None
+    return times, status, groups
+
+
+def _convert_rows(t_cells, s_cells, g_cells, blank, group_col):
+    """Row-by-row conversion of the cells, as ``(times, status, groups)``:
+    the first bad row raises its :class:`RowError`.  ``blank`` lists the
+    skipped row numbers, which count towards the numbering of the rest.
+    """
+    skipped = set(blank)
+    row_nos = (r for r in count(1) if r not in skipped)
+    cells = zip(t_cells, s_cells, g_cells if g_cells is not None else repeat(None))
     times: list[float] = []
     status: list[int] = []
-    groups: list[str] = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) < len(header):
-            raise RowError(row_no, f"expected {len(header)} cells, got {len(row)}")
-        t_text = row[index[time_col]].strip()
-        s_text = row[index[status_col]].strip()
+    for row_no, (t_cell, s_cell, g_cell) in zip(row_nos, cells):
+        t_text = t_cell.strip()
+        s_text = s_cell.strip()
         try:
             t = float(t_text)
         except ValueError:
@@ -168,50 +219,39 @@ def parse_csv(
             raise RowError(row_no, f"time must be finite and nonnegative, got {t_text}")
         if s not in (0, 1):
             raise RowError(row_no, f"status must be 0 or 1, got {s_text}")
-        if group_col is not None:
-            g = row[index[group_col]].strip()
-            if g == "":
-                raise RowError(row_no, f"empty group cell in column {group_col!r}")
-            groups.append(g)
+        if g_cell is not None and g_cell.strip() == "":
+            raise RowError(row_no, f"empty group cell in column {group_col!r}")
         times.append(t)
         status.append(s)
-
-    if not times:
-        raise DataError("input has no data rows")
-    if not any(status):
-        raise EmptyEventsError("input contains no observed events")
-    return Dataset(
-        times=np.asarray(times, dtype=float),
-        status=np.asarray(status, dtype=np.int64),
-        groups=tuple(groups) if group_col is not None else None,
-        time_unit=time_unit,
-    )
+    groups = None if g_cells is None else tuple(g.strip() for g in g_cells)
+    return np.asarray(times, dtype=float), np.asarray(status, dtype=np.int64), groups
 
 
 def split_by_group(ds: Dataset) -> dict[str, Dataset]:
     """Partition a grouped dataset into one sub-dataset per group label.
 
-    Group order follows first appearance.  Every sub-dataset must satisfy
-    the Dataset invariants; a group with zero events raises
-    :class:`EmptyEventsError` naming the group.
+    Group order follows first appearance; rows keep their order within a
+    group.  Every sub-dataset must satisfy the Dataset invariants; a group
+    with zero events raises :class:`EmptyEventsError` naming the group.
     """
     if ds.groups is None:
         raise DataError("dataset has no group labels")
-    labels: list[str] = []
-    for g in ds.groups:
-        if g not in labels:
-            labels.append(g)
-    out: dict[str, Dataset] = {}
-    groups = np.asarray(ds.groups)
-    for label in labels:
-        mask = groups == label
-        sub_status = ds.status[mask]
-        if not np.any(sub_status == 1):
+    # codes number the labels in order of first appearance; a dict keeps
+    # every label exact, where numpy's fixed-width strings would drop
+    # trailing NULs
+    codes: dict[str, int] = {}
+    code = np.fromiter((codes.setdefault(g, len(codes)) for g in ds.groups),
+                       dtype=np.intp, count=len(ds))
+    labels = list(codes)
+    events = np.bincount(code, weights=ds.status, minlength=len(labels))
+    for label, n_events in zip(labels, events):
+        if n_events == 0:
             raise EmptyEventsError(f"group {label!r} contains no observed events")
-        out[label] = Dataset(
-            times=ds.times[mask],
-            status=sub_status,
-            groups=None,
-            time_unit=ds.time_unit,
-        )
-    return out
+    rows = np.argsort(code, kind="stable")
+    counts = np.bincount(code, minlength=len(labels))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return {
+        label: Dataset(times=ds.times[rows[a:b]], status=ds.status[rows[a:b]])
+        for label, a, b in zip(labels, starts.tolist(), ends.tolist())
+    }

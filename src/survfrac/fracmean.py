@@ -90,6 +90,32 @@ def max_observed_fraction(curve: KmCurve) -> float:
     return 1.0 - float(curve.survival[-1])
 
 
+# OpenBLAS splits a dot longer than 10 000 elements over its threads and
+# adds the partial sums in an order that depends on the thread count.
+_DOT_CHUNK = 8192
+
+
+def _dot(x, y):
+    """Product sum over the last axis of ``x`` and ``y``, the same for any
+    BLAS thread count.
+
+    Up to ``_DOT_CHUNK`` elements this is ``x @ y`` (per broadcast pair of
+    rows for stacked operands, through ``np.matmul``, which calls the same
+    BLAS dot); longer sums are taken in chunks of that length, added left
+    to right.
+    """
+    def part(a, b):
+        if a.ndim == 1 and b.ndim == 1:
+            return a @ b
+        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+    total = part(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
+    for start in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
+        stop = start + _DOT_CHUNK
+        total = total + part(x[..., start:stop], y[..., start:stop])
+    return total
+
+
 def _window_masses(times, edge, gamma_hi, gamma_lo):
     """Integral of the step quantile function of ``edge`` over one window.
 
@@ -100,7 +126,7 @@ def _window_masses(times, edge, gamma_hi, gamma_lo):
     prev = np.concatenate(([1.0], edge[:-1]))
     overlap = np.minimum(prev, gamma_hi) - np.maximum(edge, gamma_lo)
     overlap = np.maximum(overlap, 0.0)
-    return float(times @ overlap), overlap
+    return float(_dot(times, overlap)), overlap
 
 
 def fraction_means(
@@ -190,7 +216,7 @@ def restricted_mean(curve: KmCurve, horizon: float) -> float:
     starts = np.concatenate(([0.0], clipped))
     ends = np.concatenate((clipped, [horizon]))
     values = np.concatenate(([1.0], curve.survival))
-    return float(values @ np.maximum(ends - starts, 0.0))
+    return float(_dot(values, np.maximum(ends - starts, 0.0)))
 
 
 def _fraction_rows(times, surv, grid: FractionGrid):
@@ -235,15 +261,14 @@ def _window_mass_rows(times, overlap, width) -> np.ndarray:
     """``times[r, :w] @ overlap[r, j, :w]`` with ``w = width[r]``: rows x K.
 
     Each mass is the very product :func:`_window_masses` takes over the
-    same columns: a stacked row-by-column matmul calls the same BLAS dot
+    same columns: :func:`_dot` on stacked rows calls the same BLAS dot
     per pair, which may fuse multiply-adds as no numpy row reduction
     does.  Rows are stacked by width.
     """
     out = np.empty(overlap.shape[:2])
     for w in np.unique(width):
         rows = np.flatnonzero(width == w)
-        out[rows] = np.matmul(times[rows, None, None, :w],
-                              overlap[rows, :, :w, None])[..., 0, 0]
+        out[rows] = _dot(times[rows, None, :w], overlap[rows, :, :w])
     return out
 
 

@@ -6,7 +6,11 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 __all__ = ["Section", "OutputDocument", "render", "FORMATS"]
 
@@ -15,8 +19,14 @@ FORMATS = ("table", "csv", "json")
 
 @dataclass
 class Section:
-    columns: list[str]
-    rows: list[dict]
+    """One table of results, held by column.
+
+    ``columns`` maps each column name, in display order, to its cells: a
+    sequence of scalars, or a 1-D numpy array, whose cells are the Python
+    scalars ``tolist()`` gives.  Every column has the same length.
+    """
+
+    columns: dict[str, Sequence]
     label: str | None = None
 
 
@@ -55,6 +65,17 @@ def _sanitize(obj):
     return _plain(obj)
 
 
+def _column_values(cells) -> list:
+    """The JSON values of a column's cells, as :func:`_sanitize` gives them."""
+    if isinstance(cells, np.ndarray):
+        values = cells.tolist()
+        if cells.dtype.kind in "iub" or (cells.dtype.kind == "f"
+                                          and np.isfinite(cells).all()):
+            return values
+        cells = values
+    return [_sanitize(v) for v in cells]
+
+
 def to_json(doc: OutputDocument) -> str:
     payload = {
         "command": doc.command,
@@ -62,8 +83,11 @@ def to_json(doc: OutputDocument) -> str:
         "sections": [
             {
                 "label": sec.label,
-                "columns": sec.columns,
-                "rows": [_sanitize(row) for row in sec.rows],
+                "columns": list(sec.columns),
+                "rows": [
+                    dict(zip(sec.columns, row))
+                    for row in zip(*map(_column_values, sec.columns.values()))
+                ],
             }
             for sec in doc.sections
         ],
@@ -82,17 +106,58 @@ def _cell_text(value, human: bool) -> str:
     return str(value)
 
 
+def _column_texts(cells, human: bool) -> list[str]:
+    """``[_cell_text(v, human) for v in cells]``, a whole column at a time
+    for numeric arrays."""
+    if isinstance(cells, np.ndarray):
+        kind = cells.dtype.kind
+        values = cells.tolist()
+        if kind == "f":
+            texts = list(map("{:.6g}".format if human else float.__repr__, values))
+            for i in np.flatnonzero(np.isnan(cells)).tolist():
+                texts[i] = "-" if human else ""
+            return texts
+        if kind in "iu":
+            return list(map(int.__repr__, values))
+        if kind == "b":
+            words = ("no", "yes") if human else ("false", "true")
+            return [words[v] for v in values]
+        cells = values
+    return [_cell_text(v, human) for v in cells]
+
+
+def _csv_text(names: list[str], texts: list[list[str]]) -> str:
+    """The header and the rows of the column ``texts`` as ``csv.writer``
+    writes them with ``\\n`` line ends.
+
+    Cells are joined directly when none needs quoting, which the joined
+    text shows: it has no quote or carriage return, one comma fewer per
+    line than cells, one newline per line, and no empty line where a line
+    holds one empty cell.
+    """
+    lines = 1 + (len(texts[0]) if texts else 0)
+    text = "\n".join(chain([",".join(names)], map(",".join, zip(*texts)))) + "\n"
+    if ('"' in text or "\r" in text
+            or text.count(",") != lines * max(len(names) - 1, 0)
+            or text.count("\n") != lines
+            or (len(names) == 1 and "\n\n" in "\n" + text)):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(zip(*texts))
+        text = buf.getvalue()
+    return text
+
+
 def to_csv(doc: OutputDocument) -> str:
-    buf = io.StringIO()
+    parts = []
     many = len(doc.sections) > 1
     for sec in doc.sections:
         if many:
-            buf.write(f"# section: {sec.label or ''}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(sec.columns)
-        for row in sec.rows:
-            writer.writerow([_cell_text(row.get(c), human=False) for c in sec.columns])
-    return buf.getvalue()
+            parts.append(f"# section: {sec.label or ''}\n")
+        texts = [_column_texts(cells, human=False) for cells in sec.columns.values()]
+        parts.append(_csv_text(list(sec.columns), texts))
+    return "".join(parts)
 
 
 def to_table(doc: OutputDocument) -> str:
@@ -112,17 +177,15 @@ def to_table(doc: OutputDocument) -> str:
     for sec in doc.sections:
         if sec.label:
             lines.append(f"## {sec.label}")
-        texts = [
-            [_cell_text(row.get(c), human=True) for c in sec.columns]
-            for row in sec.rows
-        ]
-        widths = [
-            max(len(c), *(len(t[i]) for t in texts)) if texts else len(c)
-            for i, c in enumerate(sec.columns)
-        ]
-        lines.append("  ".join(c.rjust(w) for c, w in zip(sec.columns, widths)))
-        for t in texts:
-            lines.append("  ".join(cell.rjust(w) for cell, w in zip(t, widths)))
+        padded = []
+        for name, cells in sec.columns.items():
+            texts = _column_texts(cells, human=True)
+            width = max(len(name), max(map(len, texts), default=0))
+            padded.append([name.rjust(width)] + [t.rjust(width) for t in texts])
+        if padded:
+            lines += map("  ".join, zip(*padded))
+        else:
+            lines.append("")
     return "\n".join(lines) + "\n"
 
 

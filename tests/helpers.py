@@ -1,12 +1,19 @@
 """Shared test utilities: sample generators and independent oracles."""
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 
 from survfrac import (
     BandUndefinedError,
+    DataError,
     Dataset,
+    EmptyEventsError,
+    RowError,
+    SchemaError,
     FractionGrid,
     ep_band,
     fit_km,
@@ -162,3 +169,156 @@ def replicate_stats(cfg, index):
         bounds = ((math.nan, math.inf),) * cfg.grid.k
         band_ok = False
     return fm.mu, fm.computable, fm.events, bounds, band_ok, len(ds) - ds.n_events
+
+
+def reference_parse_csv(source, time_col="time", status_col="status", group_col=None):
+    """Row-loop CSV reader: the reference for the columnar ``parse_csv``.
+
+    Converts and checks one row at a time and raises on the first bad
+    row; blank rows are skipped but counted.
+    """
+    stream = io.StringIO(source.decode("utf-8")) if isinstance(source, bytes) else source
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("input has no header row") from None
+    header = [h.strip() for h in header]
+    index = {}
+    for name in (time_col, status_col) + ((group_col,) if group_col else ()):
+        if name not in header:
+            raise SchemaError(f"column {name!r} not found in header {header}")
+        index[name] = header.index(name)
+
+    times, status, groups = [], [], []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) < len(header):
+            raise RowError(row_no, f"expected {len(header)} cells, got {len(row)}")
+        t_text = row[index[time_col]].strip()
+        s_text = row[index[status_col]].strip()
+        try:
+            t = float(t_text)
+        except ValueError:
+            raise RowError(row_no, f"unparsable time {t_text!r}") from None
+        try:
+            s = int(s_text)
+        except ValueError:
+            raise RowError(row_no, f"unparsable status {s_text!r}") from None
+        if not np.isfinite(t) or t < 0:
+            raise RowError(row_no, f"time must be finite and nonnegative, got {t_text}")
+        if s not in (0, 1):
+            raise RowError(row_no, f"status must be 0 or 1, got {s_text}")
+        if group_col is not None:
+            g = row[index[group_col]].strip()
+            if g == "":
+                raise RowError(row_no, f"empty group cell in column {group_col!r}")
+            groups.append(g)
+        times.append(t)
+        status.append(s)
+
+    if not times:
+        raise DataError("input has no data rows")
+    if not any(status):
+        raise EmptyEventsError("input contains no observed events")
+    return Dataset(
+        times=np.asarray(times, dtype=float),
+        status=np.asarray(status, dtype=np.int64),
+        groups=tuple(groups) if group_col is not None else None,
+    )
+
+
+def _ref_plain(value):
+    if value is None or isinstance(value, (bool, str, int)):
+        return value
+    value = float(value)
+    if math.isnan(value):
+        return None
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _ref_sanitize(obj):
+    if isinstance(obj, dict):
+        return {key: _ref_sanitize(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_sanitize(val) for val in obj]
+    return _ref_plain(obj)
+
+
+def _ref_cell_text(value, human):
+    value = _ref_plain(value)
+    if value is None:
+        return "-" if human else ""
+    if isinstance(value, bool):
+        return ("yes" if value else "no") if human else ("true" if value else "false")
+    if isinstance(value, float):
+        return f"{value:.6g}" if human else repr(value)
+    return str(value)
+
+
+def section_rows(sec):
+    """A column-held section as per-row dicts; an array column's cells are
+    the Python scalars of its ``tolist()``."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in sec.columns.values()]
+    return [dict(zip(sec.columns, row)) for row in zip(*cells)]
+
+
+def reference_render(doc, fmt):
+    """Row-at-a-time renderers: the reference for ``survfrac.output.render``."""
+    if fmt == "json":
+        payload = {
+            "command": doc.command,
+            "metadata": _ref_sanitize(doc.metadata),
+            "sections": [
+                {
+                    "label": sec.label,
+                    "columns": list(sec.columns),
+                    "rows": [_ref_sanitize(row) for row in section_rows(sec)],
+                }
+                for sec in doc.sections
+            ],
+        }
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        many = len(doc.sections) > 1
+        for sec in doc.sections:
+            if many:
+                buf.write(f"# section: {sec.label or ''}\n")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(list(sec.columns))
+            for row in section_rows(sec):
+                writer.writerow([_ref_cell_text(row.get(c), human=False) for c in sec.columns])
+        return buf.getvalue()
+    lines = []
+    meta_bits = []
+    for key, val in doc.metadata.items():
+        if isinstance(val, dict):
+            continue
+        if isinstance(val, (list, tuple)):
+            if not val:
+                continue
+            text = ",".join(_ref_cell_text(v, human=True) for v in val)
+        else:
+            text = _ref_cell_text(val, human=True)
+        meta_bits.append(f"{key}={text}")
+    lines.append(f"# {doc.command}: " + "  ".join(meta_bits))
+    for sec in doc.sections:
+        if sec.label:
+            lines.append(f"## {sec.label}")
+        columns = list(sec.columns)
+        texts = [
+            [_ref_cell_text(row.get(c), human=True) for c in columns]
+            for row in section_rows(sec)
+        ]
+        widths = [
+            max(len(c), *(len(t[i]) for t in texts)) if texts else len(c)
+            for i, c in enumerate(columns)
+        ]
+        lines.append("  ".join(c.rjust(w) for c, w in zip(columns, widths)))
+        for t in texts:
+            lines.append("  ".join(cell.rjust(w) for cell, w in zip(t, widths)))
+    return "\n".join(lines) + "\n"

@@ -430,3 +430,31 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, survfrac.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_output_same_for_any_blas_thread_count(tmp_path):
+    # OpenBLAS splits dots longer than 10 000 elements over its threads;
+    # two arms of 10 500 distinct event times give longer curves, pooled
+    # and per arm, so every product sum crosses that length
+    rng = np.random.default_rng(8)
+    times = rng.permutation(np.arange(1, 21_001)) * 1e-3 + rng.random(21_000) * 1e-4
+    lines = ["time,status,arm"] + [
+        f"{t!r},1,{'AB'[i % 2]}" for i, t in enumerate(times.tolist())
+    ]
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    src = Path(survfrac.__file__).resolve().parents[1]
+    commands = [
+        ["estimate", "--input", str(path), "--format", "json"],
+        ["compare", "--input", str(path), "--group-col", "arm", "--ref-group", "A",
+         "--bootstrap", "100", "--restricted-mean", "--format", "json"],
+    ]
+    for argv in commands:
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "survfrac.cli", *argv], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv[0]

@@ -121,13 +121,6 @@ def test_dataset_is_immutable():
         ds.times[0] = 5.0
 
 
-def test_observations_view():
-    ds = parse_csv(b"time,status,g\n1,1,a\n2,0,b\n", group_col="g")
-    obs = ds.observations
-    assert obs[0].time == 1.0 and obs[0].status == 1 and obs[0].group == "a"
-    assert obs[1].group == "b"
-
-
 def test_split_by_group_partition():
     ds = parse_csv(
         b"time,status,g\n1,1,a\n2,1,a\n3,1,b\n4,1,b\n", group_col="g"
