@@ -32,7 +32,6 @@ from .km import (
     BandPair,
     BandUndefinedError,
     KmCurve,
-    KmStep,
     ep_band,
     ep_critical_value,
     fit_km,
@@ -73,7 +72,6 @@ __all__ = [
     "BandPair",
     "BandUndefinedError",
     "KmCurve",
-    "KmStep",
     "ep_band",
     "ep_critical_value",
     "fit_km",

@@ -14,7 +14,6 @@ from .dataset import DataError, Dataset, parse_csv, split_by_group
 from .fracmean import (
     FractionGrid,
     decile_grid,
-    fraction_mean_bounds,
     fraction_means,
     max_observed_fraction,
     truncate_grid,
@@ -73,15 +72,15 @@ def _load(args) -> Dataset:
     )
 
 
-def _estimate_columns(curve, grid, bounds):
-    fm = fraction_means(curve, grid)
-    lower = upper = upper_finite = [None] * grid.k
-    if bounds is not None:
-        lower, upper = zip(*bounds)
+def _estimate_columns(fm):
+    k = fm.grid.k
+    lower = upper = upper_finite = [None] * k
+    if fm.bounds is not None:
+        lower, upper = zip(*fm.bounds)
         upper_finite = [math.isfinite(up) for up in upper]
     return {
-        "k": list(range(1, grid.k + 1)),
-        "lambda": grid.lambdas[1:],
+        "k": list(range(1, k + 1)),
+        "lambda": fm.grid.lambdas[1:],
         "mu": fm.mu,
         "mu_bar": fm.mu_bar,
         "lower": lower,
@@ -102,14 +101,12 @@ def cmd_estimate(args) -> OutputDocument:
         grid = decile_grid(max_frac)
 
     notes = []
-    bounds = None
+    band = None
     try:
         band = ep_band(curve, args.band_level)
-        bounds = fraction_mean_bounds(curve, band, grid)
-        band_coeff = band.coefficient
     except BandUndefinedError as exc:
         notes.append(f"band undefined: {exc}")
-        band_coeff = None
+    fm = fraction_means(curve, grid, band=band)
 
     meta = _base_metadata(
         input=str(args.input),
@@ -118,13 +115,13 @@ def cmd_estimate(args) -> OutputDocument:
         max_observed_fraction=max_frac,
         lambdas=list(grid.lambdas),
         band_level=args.band_level,
-        band_coefficient=band_coeff,
+        band_coefficient=band.coefficient if band is not None else None,
         notes=notes,
     )
     return OutputDocument(
         command="estimate",
         metadata=meta,
-        sections=[Section(columns=_estimate_columns(curve, grid, bounds))],
+        sections=[Section(columns=_estimate_columns(fm))],
     )
 
 

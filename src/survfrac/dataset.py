@@ -129,7 +129,7 @@ def parse_csv(
         raise SchemaError("input has no header row") from None
     header = [h.strip() for h in header]
     index: dict[str, int] = {}
-    for name in (time_col, status_col) + ((group_col,) if group_col else ()):
+    for name in (time_col, status_col) + ((group_col,) if group_col is not None else ()):
         if name not in header:
             raise SchemaError(f"column {name!r} not found in header {header}")
         index[name] = header.index(name)

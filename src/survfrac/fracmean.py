@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,19 +115,6 @@ def _dot(x, y):
     return total
 
 
-def _window_masses(times, edge, gamma_hi, gamma_lo):
-    """Integral of the step quantile function of ``edge`` over one window.
-
-    ``edge`` is a decreasing survival step sequence at ``times`` with
-    leading value 1; the window is the survival interval
-    [gamma_lo, gamma_hi].  Returns (mass, overlap-per-step).
-    """
-    prev = np.concatenate(([1.0], edge[:-1]))
-    overlap = np.minimum(prev, gamma_hi) - np.maximum(edge, gamma_lo)
-    overlap = np.maximum(overlap, 0.0)
-    return float(_dot(times, overlap)), overlap
-
-
 def fraction_means(
     curve: KmCurve,
     grid: FractionGrid,
@@ -143,36 +129,23 @@ def fraction_means(
 
     with the leading convention S(y_0) = 1.  ``events[k]`` counts the
     observed events at steps contributing positive mass; a step straddling
-    a window boundary counts in both adjacent fractions.
+    a window boundary counts in both adjacent fractions.  This is the
+    one-row case of :func:`_fraction_mean_rows`.
 
     When ``band`` is given, per-fraction bounds from
     :func:`fraction_mean_bounds` are attached.
     """
-    gammas = grid.gammas
-    widths = grid.widths
-    s = curve.survival
-    y = curve.times
-    d = curve.events
-
-    mu: list[float] = []
-    mu_bar: list[float] = []
-    computable: list[bool] = []
-    events: list[int] = []
-    for k in range(1, len(gammas)):
-        hi, lo = gammas[k - 1], gammas[k]
-        mass, overlap = _window_masses(y, s, hi, lo)
-        mu.append(mass)
-        mu_bar.append(mass / widths[k - 1])
-        computable.append(bool(np.any(s <= lo)))
-        events.append(int(d[overlap > 0.0].sum()))
-
+    mu, computable, events = _fraction_mean_rows(
+        curve.times[None], curve.survival[None], curve.events[None],
+        np.array([len(curve)]), grid,
+    )
     bounds = fraction_mean_bounds(curve, band, grid) if band is not None else None
     return FractionMeans(
         grid=grid,
-        mu=tuple(mu),
-        mu_bar=tuple(mu_bar),
-        computable=tuple(computable),
-        events=tuple(events),
+        mu=tuple(mu[0].tolist()),
+        mu_bar=tuple((mu[0] / np.asarray(grid.widths)).tolist()),
+        computable=tuple(computable[0].tolist()),
+        events=tuple(events[0].tolist()),
         bounds=bounds,
     )
 
@@ -189,23 +162,14 @@ def fraction_mean_bounds(
     monotonized so the first-crossing quantile inversion is well defined).
     When the upper edge never descends to gamma_k inside the band range no
     finite upper bound exists and +inf is reported; the lower edge
-    contributes whatever mass it attains.
+    contributes whatever mass it attains.  This is the one-row case of
+    :func:`_fraction_bound_rows`.
     """
-    lower_edge = np.minimum.accumulate(band.lower)
-    upper_edge = np.minimum.accumulate(band.upper)
-    t = band.times
-    gammas = grid.gammas
-
-    out: list[tuple[float, float]] = []
-    for k in range(1, len(gammas)):
-        hi, lo = gammas[k - 1], gammas[k]
-        lo_mass, _ = _window_masses(t, lower_edge, hi, lo)
-        if upper_edge[-1] <= lo:
-            up_mass, _ = _window_masses(t, upper_edge, hi, lo)
-        else:
-            up_mass = math.inf
-        out.append((lo_mass, up_mass))
-    return tuple(out)
+    lower, upper = _fraction_bound_rows(
+        band.times[None], band.lower[None], band.upper[None],
+        np.array([band.times.size]), np.array([True]), grid,
+    )
+    return tuple(zip(lower[0].tolist(), upper[0].tolist()))
 
 
 def restricted_mean(curve: KmCurve, horizon: float) -> float:
@@ -244,9 +208,11 @@ def _fraction_rows(times, surv, grid: FractionGrid):
 
 
 def _window_overlap_rows(edge, grid: FractionGrid) -> np.ndarray:
-    """Row form of the overlaps in :func:`_window_masses`: (rows x K x cols).
+    """Overlap of each step with each fraction's survival window
+    [gamma_k, gamma_{k-1}]: rows x K x cols.
 
-    ``edge`` holds survival step rows with the leading value 1 implied.
+    ``edge`` holds decreasing survival step rows with the leading value 1
+    implied.
     """
     prev = np.empty_like(edge)
     prev[:, 0] = 1.0
@@ -260,27 +226,33 @@ def _window_overlap_rows(edge, grid: FractionGrid) -> np.ndarray:
 def _window_mass_rows(times, overlap, width) -> np.ndarray:
     """``times[r, :w] @ overlap[r, j, :w]`` with ``w = width[r]``: rows x K.
 
-    Each mass is the very product :func:`_window_masses` takes over the
-    same columns: :func:`_dot` on stacked rows calls the same BLAS dot
-    per pair, which may fuse multiply-adds as no numpy row reduction
-    does.  Rows are stacked by width.
+    Each mass is the very product ``_dot(times[r, :w], overlap[r, j, :w])``
+    would take: :func:`_dot` on stacked rows calls the same BLAS dot per
+    pair, which may fuse multiply-adds as no numpy row reduction does, so
+    a row's masses do not depend on the rows evaluated with it.  Rows are
+    stacked by width.
     """
     out = np.empty(overlap.shape[:2])
-    for w in np.unique(width):
+    # a set, not np.unique, whose hashing path costs about 1 MiB of peak
+    # memory on first use
+    for w in set(width.tolist()):
         rows = np.flatnonzero(width == w)
         out[rows] = _dot(times[rows, None, :w], overlap[rows, :, :w])
     return out
 
 
-def _fraction_mean_rows(curves, grid: FractionGrid):
+def _fraction_mean_rows(times, survival, events, steps, grid: FractionGrid):
     """Row form of :func:`fraction_means` on the curves of
-    :func:`survfrac.km._fit_rows`: ``(mu, computable, events)``, rows x K."""
-    valid = (np.arange(curves.times.shape[1]) < curves.steps[:, None])[:, None, :]
-    overlap = _window_overlap_rows(curves.survival, grid)
-    mu = _window_mass_rows(curves.times, overlap, curves.steps)
+    :func:`survfrac.km._fit_rows`: ``(mu, computable, events)``, rows x K.
+
+    Row ``r`` holds one curve's steps in its first ``steps[r]`` columns.
+    """
+    valid = (np.arange(times.shape[1]) < steps[:, None])[:, None, :]
+    overlap = _window_overlap_rows(survival, grid)
+    mu = _window_mass_rows(times, overlap, steps)
     lows = np.asarray(grid.gammas[1:])[:, None]
-    computable = np.any(valid & (curves.survival[:, None, :] <= lows), axis=2)
-    events = np.where(valid & (overlap > 0.0), curves.events[:, None, :], 0).sum(axis=2)
+    computable = np.any(valid & (survival[:, None, :] <= lows), axis=2)
+    events = np.where(valid & (overlap > 0.0), events[:, None, :], 0).sum(axis=2)
     return mu, computable, events
 
 

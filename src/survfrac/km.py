@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +11,6 @@ import numpy as np
 from .dataset import Dataset, EmptyEventsError
 
 __all__ = [
-    "KmStep",
     "KmCurve",
     "BandPair",
     "BandUndefinedError",
@@ -34,14 +33,6 @@ class BandUndefinedError(ValueError):
 MIN_RISK_SHARE = 0.05
 
 
-class KmStep(NamedTuple):
-    time: float
-    at_risk: int
-    events: int
-    survival: float
-    greenwood: float
-
-
 @dataclass(frozen=True)
 class KmCurve:
     """Fitted product-limit step function.
@@ -60,24 +51,12 @@ class KmCurve:
     survival: np.ndarray
     greenwood: np.ndarray
     n: int
-    censored_times: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "at_risk", "events", "survival", "greenwood",
-                     "censored_times"):
+        for name in ("times", "at_risk", "events", "survival", "greenwood"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def steps(self) -> list[KmStep]:
-        return [
-            KmStep(float(t), int(n), int(d), float(s), float(g))
-            for t, n, d, s, g in zip(
-                self.times, self.at_risk, self.events, self.survival,
-                self.greenwood,
-            )
-        ]
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -139,9 +118,8 @@ def _fit_rows(times: np.ndarray, status: np.ndarray) -> _CurveRows:
     """Row form of :func:`fit_km`: one curve per row of ``(times, status)``.
 
     Each row is sorted and its tied times merged into count columns,
-    events first, as ``np.unique`` does in :func:`fit_km`; one
-    :func:`_km_rows` call then serves every row.  Each row's steps equal
-    its ``fit_km`` curve bit for bit.
+    events first; one :func:`_km_rows` call then serves every row.
+    ``fit_km`` is the one-row case.
     """
     rows, n = times.shape
     if not np.all(np.any(status, axis=1)):
@@ -183,40 +161,16 @@ def fit_km(ds: Dataset) -> KmCurve:
 
     Ties between events and censorings at the same time are resolved
     events-first: observations censored at t are still at risk at t.
-    Runs in O(n log n): survival is the one-row case of the telescoped
-    product in :func:`_km_rows`, exact when the sample has no censoring.
+    The curve is the one-row case of :func:`_fit_rows`, O(n log n).
     """
-    if ds.n_events == 0:
-        raise EmptyEventsError("cannot fit a curve to a sample with no events")
-
-    order = np.argsort(ds.times, kind="stable")
-    times = ds.times[order]
-    status = ds.status[order]
-    n_total = times.size
-
-    utimes, first_idx = np.unique(times, return_index=True)
-    tot = np.diff(first_idx, append=n_total)
-    d = np.add.reduceat(status, first_idx)
-    at_risk, survival = _km_rows(tot[None, :], d[None, :])
-
-    keep = d > 0
-    step_times = utimes[keep]
-    d = d[keep]
-    n_at = at_risk[0, keep]
-    survival = survival[0, keep]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gw_terms = np.where(n_at > d, d / (n_at * (n_at - d)), np.inf)
-    greenwood = np.cumsum(gw_terms)
-
+    rows = _fit_rows(ds.times[None], ds.status[None])
     return KmCurve(
-        times=step_times.astype(float),
-        at_risk=n_at.astype(np.int64),
-        events=d.astype(np.int64),
-        survival=survival,
-        greenwood=greenwood,
-        n=int(n_total),
-        censored_times=np.sort(ds.times[ds.status == 0]).astype(float),
+        times=rows.times[0],
+        at_risk=rows.at_risk[0],
+        events=rows.events[0],
+        survival=rows.survival[0],
+        greenwood=rows.greenwood[0],
+        n=rows.n,
     )
 
 
@@ -275,7 +229,6 @@ class BandPair:
     lower: np.ndarray
     upper: np.ndarray
     range: tuple[float, float]
-    a_range: tuple[float, float] = field(default=(math.nan, math.nan), compare=False)
 
     def __post_init__(self):
         for name in ("times", "lower", "upper"):
@@ -388,7 +341,6 @@ def ep_band(
         lower=lower,
         upper=upper,
         range=(t_lo, t_hi),
-        a_range=(a_lo, a_hi),
     )
 
 

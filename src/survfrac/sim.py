@@ -159,7 +159,8 @@ def _study_rows(times, status, grid: FractionGrid, level: float):
     bit; rows without a band get bounds ``(nan, inf)``.
     """
     curves = _fit_rows(times, status)
-    mu, computable, events = _fraction_mean_rows(curves, grid)
+    mu, computable, events = _fraction_mean_rows(
+        curves.times, curves.survival, curves.events, curves.steps, grid)
     band_ok, width, lower, upper = _band_rows(curves, level)
     low, up = _fraction_bound_rows(curves.times, lower, upper, width, band_ok, grid)
     censored = times.shape[1] - status.sum(axis=1)

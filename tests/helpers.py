@@ -12,15 +12,17 @@ from survfrac import (
     DataError,
     Dataset,
     EmptyEventsError,
+    FractionMeans,
+    KmCurve,
     RowError,
     SchemaError,
     FractionGrid,
     ep_band,
     fit_km,
-    fraction_mean_bounds,
-    fraction_means,
     quantile,
 )
+from survfrac.fracmean import _DOT_CHUNK
+from survfrac.km import _km_rows
 
 
 def random_censored_dataset(rng, n=None, n_range=(5, 50), tie_share=0.0):
@@ -149,21 +151,131 @@ def study_replicate(cfg, index):
     return Dataset(times=np.minimum(t, c), status=(t <= c).astype(np.int64))
 
 
+def reference_fit_km(ds):
+    """Per-sample KM fit: the reference for the row kernel ``km._fit_rows``.
+
+    Merges tied times with ``np.unique`` and ``np.add.reduceat`` and keeps
+    the event times afterwards, where the row kernel counts cells with
+    ``bincount`` and sorts the event columns to the front.  Survival comes
+    from the shared telescoped product ``km._km_rows`` on one row.
+    """
+    if ds.n_events == 0:
+        raise EmptyEventsError("cannot fit a curve to a sample with no events")
+
+    order = np.argsort(ds.times, kind="stable")
+    times = ds.times[order]
+    status = ds.status[order]
+    n_total = times.size
+
+    utimes, first_idx = np.unique(times, return_index=True)
+    tot = np.diff(first_idx, append=n_total)
+    d = np.add.reduceat(status, first_idx)
+    at_risk, survival = _km_rows(tot[None, :], d[None, :])
+
+    keep = d > 0
+    step_times = utimes[keep]
+    d = d[keep]
+    n_at = at_risk[0, keep]
+    survival = survival[0, keep]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gw_terms = np.where(n_at > d, d / (n_at * (n_at - d)), np.inf)
+    greenwood = np.cumsum(gw_terms)
+
+    return KmCurve(
+        times=step_times.astype(float),
+        at_risk=n_at.astype(np.int64),
+        events=d.astype(np.int64),
+        survival=survival,
+        greenwood=greenwood,
+        n=int(n_total),
+    )
+
+
+def _reference_dot(x, y):
+    """1-D product sum in chunks of ``_DOT_CHUNK``, added left to right."""
+    total = x[:_DOT_CHUNK] @ y[:_DOT_CHUNK]
+    for start in range(_DOT_CHUNK, x.size, _DOT_CHUNK):
+        total = total + x[start:start + _DOT_CHUNK] @ y[start:start + _DOT_CHUNK]
+    return float(total)
+
+
+def _reference_window_masses(times, edge, gamma_hi, gamma_lo):
+    """Integral of the step quantile function of ``edge`` over one window.
+
+    ``edge`` is a decreasing survival step sequence at ``times`` with
+    leading value 1; the window is the survival interval
+    [gamma_lo, gamma_hi].  Returns (mass, overlap-per-step).
+    """
+    prev = np.concatenate(([1.0], edge[:-1]))
+    overlap = np.minimum(prev, gamma_hi) - np.maximum(edge, gamma_lo)
+    overlap = np.maximum(overlap, 0.0)
+    return _reference_dot(times, overlap), overlap
+
+
+def reference_fraction_means(curve, grid, band=None):
+    """Per-fraction loop: the reference for ``fracmean._fraction_mean_rows``."""
+    gammas = grid.gammas
+    widths = grid.widths
+    s = curve.survival
+    y = curve.times
+    d = curve.events
+
+    mu, mu_bar, computable, events = [], [], [], []
+    for k in range(1, len(gammas)):
+        hi, lo = gammas[k - 1], gammas[k]
+        mass, overlap = _reference_window_masses(y, s, hi, lo)
+        mu.append(mass)
+        mu_bar.append(mass / widths[k - 1])
+        computable.append(bool(np.any(s <= lo)))
+        events.append(int(d[overlap > 0.0].sum()))
+
+    bounds = (reference_fraction_mean_bounds(curve, band, grid)
+              if band is not None else None)
+    return FractionMeans(
+        grid=grid,
+        mu=tuple(mu),
+        mu_bar=tuple(mu_bar),
+        computable=tuple(computable),
+        events=tuple(events),
+        bounds=bounds,
+    )
+
+
+def reference_fraction_mean_bounds(curve, band, grid):
+    """Per-fraction loop: the reference for ``fracmean._fraction_bound_rows``."""
+    lower_edge = np.minimum.accumulate(band.lower)
+    upper_edge = np.minimum.accumulate(band.upper)
+    t = band.times
+    gammas = grid.gammas
+
+    out = []
+    for k in range(1, len(gammas)):
+        hi, lo = gammas[k - 1], gammas[k]
+        lo_mass, _ = _reference_window_masses(t, lower_edge, hi, lo)
+        if upper_edge[-1] <= lo:
+            up_mass, _ = _reference_window_masses(t, upper_edge, hi, lo)
+        else:
+            up_mass = math.inf
+        out.append((lo_mass, up_mass))
+    return tuple(out)
+
+
 def replicate_stats(cfg, index):
-    """One study replicate through the public per-sample chain.
+    """One study replicate through the per-sample references.
 
     The per-replicate reference for the block-batched study: returns
     (mu, computable, events, bounds, band_ok, censored) from
-    ``fit_km``, ``fraction_means``, ``ep_band`` and
-    ``fraction_mean_bounds``; a replicate without a band gets the bounds
-    (nan, inf).
+    ``reference_fit_km``, ``reference_fraction_means``, ``ep_band`` and
+    ``reference_fraction_mean_bounds``; a replicate without a band gets
+    the bounds (nan, inf).
     """
     ds = study_replicate(cfg, index)
-    curve = fit_km(ds)
-    fm = fraction_means(curve, cfg.grid)
+    curve = reference_fit_km(ds)
+    fm = reference_fraction_means(curve, cfg.grid)
     try:
         band = ep_band(curve, cfg.band_level)
-        bounds = fraction_mean_bounds(curve, band, cfg.grid)
+        bounds = reference_fraction_mean_bounds(curve, band, cfg.grid)
         band_ok = True
     except BandUndefinedError:
         bounds = ((math.nan, math.inf),) * cfg.grid.k
@@ -185,7 +297,7 @@ def reference_parse_csv(source, time_col="time", status_col="status", group_col=
         raise SchemaError("input has no header row") from None
     header = [h.strip() for h in header]
     index = {}
-    for name in (time_col, status_col) + ((group_col,) if group_col else ()):
+    for name in (time_col, status_col) + ((group_col,) if group_col is not None else ()):
         if name not in header:
             raise SchemaError(f"column {name!r} not found in header {header}")
         index[name] = header.index(name)

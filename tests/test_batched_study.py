@@ -1,13 +1,20 @@
-"""The block-batched Monte Carlo study against the per-replicate chain
-(``fit_km`` -> ``fraction_means`` -> ``ep_band`` -> ``fraction_mean_bounds``),
-compared exactly: the batched rows must reproduce it bit for bit."""
+"""The block-batched Monte Carlo study against the per-replicate references
+(``reference_fit_km`` -> ``reference_fraction_means`` -> ``ep_band`` ->
+``reference_fraction_mean_bounds`` in ``helpers``), compared exactly: the
+batched rows must reproduce them bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_censored_dataset, replicate_stats
+from helpers import (
+    random_censored_dataset,
+    reference_fit_km,
+    reference_fraction_mean_bounds,
+    reference_fraction_means,
+    replicate_stats,
+)
 from survfrac import (
     BandUndefinedError,
     Dataset,
@@ -15,9 +22,6 @@ from survfrac import (
     FractionGrid,
     SimConfig,
     ep_band,
-    fit_km,
-    fraction_mean_bounds,
-    fraction_means,
     run_study,
 )
 from survfrac import sim
@@ -82,12 +86,12 @@ def test_study_rows_merge_tied_times_like_fit_km():
     assert np.array_equal(band_ok, defined)
     assert not band_ok[-2:].any()
     for r, ds in enumerate(samples):
-        curve = fit_km(ds)
+        curve = reference_fit_km(ds)
         m = curves.steps[r]
         assert m == len(curve)
         for name in ("times", "at_risk", "events", "survival", "greenwood"):
             assert getattr(curves, name)[r, :m].tolist() == getattr(curve, name).tolist()
-        fm = fraction_means(curve, grid)
+        fm = reference_fraction_means(curve, grid)
         assert mu[r].tolist() == list(fm.mu)
         assert tuple(computable[r].tolist()) == fm.computable
         assert tuple(events[r].tolist()) == fm.events
@@ -102,7 +106,7 @@ def test_study_rows_merge_tied_times_like_fit_km():
         w = width[r]
         assert band_lower[r, :w].tolist() == band.lower.tolist()
         assert band_upper[r, :w].tolist() == band.upper.tolist()
-        bounds = fraction_mean_bounds(curve, band, grid)
+        bounds = reference_fraction_mean_bounds(curve, band, grid)
         assert lower[r].tolist() == [b[0] for b in bounds]
         assert upper[r].tolist() == [b[1] for b in bounds]
 

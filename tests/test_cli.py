@@ -423,6 +423,16 @@ class TestJsonRoundTrip:
         assert mu == (0.1 + 0.30000000000000004 + 7.0) / 3
 
 
+@pytest.mark.parametrize("command", ["km-curve", "compare"])
+def test_empty_group_column_name_exit_2(run, two_arm_csv, command):
+    extra = ["--ref-group", "allo"] if command == "compare" else []
+    code, out, err = run(command, "--input", two_arm_csv, "--group-col", "", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == (f"survfrac {command}: error: column '' not found in header "
+                   "['time', 'status', 'arm']\n")
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy serves only the simulation truth; the CLI must start without it
     src = Path(survfrac.__file__).resolve().parents[1]

@@ -23,7 +23,6 @@ def test_fit_censored_first():
     assert list(curve.survival) == [0.5, 0.0]
     assert curve.greenwood[0] == 0.5  # 1/(2*1)
     assert math.isinf(curve.greenwood[1])
-    assert list(curve.censored_times) == [1.0]
 
 
 def test_fit_uncensored_equals_empirical():
