@@ -19,7 +19,7 @@ from .fracmean import (
     truncate_grid,
 )
 from .inference import bootstrap_compare
-from .km import BandUndefinedError, _step_lookup, ep_band, fit_km
+from .km import BandUndefinedError, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
 from .sim import SimConfig, run_study
 
@@ -292,10 +292,9 @@ def _curve_columns(curve, band):
     NaN, rendered as absent, outside the band range."""
     edges = np.full((2, len(curve)), np.nan)
     if band is not None:
-        # one lookup for both edges
+        # the band's times are the curve's times inside its range
         inside = (curve.times >= band.range[0]) & (curve.times <= band.range[1])
-        edges[:, inside] = _step_lookup(band.times, np.stack((band.lower, band.upper)),
-                                        curve.times[inside])
+        edges[:, inside] = band.lower, band.upper
     return {
         "time": np.concatenate(([0.0], curve.times)),
         "survival": np.concatenate(([1.0], curve.survival)),

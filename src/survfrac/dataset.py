@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
@@ -84,16 +85,23 @@ class Dataset:
         return int(self.status.sum())
 
 
-def _open_source(source):
-    """Return a text stream for a path, bytes, or file-like source."""
+@contextmanager
+def _text_stream(source):
+    """A text stream over a path, bytes, or file-like source that closes
+    only what it opens: a caller's binary handle is detached, not closed."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary file-like
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            yield stream
+    elif isinstance(source, bytes):
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()
 
 
 def parse_csv(
@@ -121,40 +129,40 @@ def parse_csv(
     EmptyEventsError
         No row has status 1.
     """
-    stream = _open_source(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("input has no header row") from None
-    header = [h.strip() for h in header]
-    index: dict[str, int] = {}
-    for name in (time_col, status_col) + ((group_col,) if group_col is not None else ()):
-        if name not in header:
-            raise SchemaError(f"column {name!r} not found in header {header}")
-        index[name] = header.index(name)
+    with _text_stream(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("input has no header row") from None
+        header = [h.strip() for h in header]
+        index: dict[str, int] = {}
+        for name in (time_col, status_col) + ((group_col,) if group_col is not None else ()):
+            if name not in header:
+                raise SchemaError(f"column {name!r} not found in header {header}")
+            index[name] = header.index(name)
 
-    width = len(header)
-    ti, si = index[time_col], index[status_col]
-    gi = index[group_col] if group_col is not None else None
-    t_cells: list[str] = []
-    s_cells: list[str] = []
-    g_cells: list[str] | None = [] if gi is not None else None
-    blank: list[int] = []
-    short = None
-    for row_no, row in enumerate(reader, start=1):
-        # a row whose time cell holds text is neither blank nor short
-        if len(row) < width or not row[ti].strip():
-            if all(cell.strip() == "" for cell in row):
-                blank.append(row_no)
-                continue
-            if len(row) < width:
-                short = RowError(row_no, f"expected {width} cells, got {len(row)}")
-                break
-        t_cells.append(row[ti])
-        s_cells.append(row[si])
-        if g_cells is not None:
-            g_cells.append(row[gi])
+        width = len(header)
+        ti, si = index[time_col], index[status_col]
+        gi = index[group_col] if group_col is not None else None
+        t_cells: list[str] = []
+        s_cells: list[str] = []
+        g_cells: list[str] | None = [] if gi is not None else None
+        blank: list[int] = []
+        short = None
+        for row_no, row in enumerate(reader, start=1):
+            # a row whose time cell holds text is neither blank nor short
+            if len(row) < width or not row[ti].strip():
+                if all(cell.strip() == "" for cell in row):
+                    blank.append(row_no)
+                    continue
+                if len(row) < width:
+                    short = RowError(row_no, f"expected {width} cells, got {len(row)}")
+                    break
+            t_cells.append(row[ti])
+            s_cells.append(row[si])
+            if g_cells is not None:
+                g_cells.append(row[gi])
 
     columns = _convert_columns(t_cells, s_cells, g_cells)
     if columns is None:

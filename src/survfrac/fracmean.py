@@ -278,14 +278,16 @@ def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
     return edges[0] + (surv * np.diff(edges, append=horizon)).sum(axis=1)
 
 
-def truncate_grid(grid: FractionGrid, max_fraction: float,
-                  tol: float = 1e-12) -> FractionGrid:
+_GRID_TOL = 1e-12  # slack for a fraction that rounding puts past the maximum
+
+
+def truncate_grid(grid: FractionGrid, max_fraction: float) -> FractionGrid:
     """Drop fractions beyond ``max_fraction``.
 
     Used for group comparisons, which are restricted to the last fraction
     commonly observed in every group.
     """
-    kept = tuple(lam for lam in grid.lambdas if lam <= max_fraction + tol)
+    kept = tuple(lam for lam in grid.lambdas if lam <= max_fraction + _GRID_TOL)
     if len(kept) < 2:
         raise ValueError(
             f"no grid fraction lies within max observed fraction {max_fraction:.6g}"
@@ -295,7 +297,7 @@ def truncate_grid(grid: FractionGrid, max_fraction: float,
 
 def decile_grid(max_fraction: float) -> FractionGrid:
     """Deciles {0.1, 0.2, ...} up to ``max_fraction`` (at most 1.0)."""
-    uppers = [k / 10 for k in range(1, 11) if k / 10 <= max_fraction + 1e-12]
+    uppers = [k / 10 for k in range(1, 11) if k / 10 <= max_fraction + _GRID_TOL]
     if not uppers:
         raise ValueError(
             f"max observed fraction {max_fraction:.6g} is below the first decile; "

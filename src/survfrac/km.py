@@ -175,16 +175,9 @@ def fit_km(ds: Dataset) -> KmCurve:
 
 
 def _step_lookup(times, values, t):
-    """Right-continuous step function: 1 before ``times[0]``, then ``values``.
-
-    ``values`` may carry leading axes (several step functions sharing
-    ``times``); one search serves them all.
-    """
-    t = np.asarray(t, dtype=float)
-    idx = np.searchsorted(times, t, side="right")
-    values = np.asarray(values)
-    padded = np.concatenate((np.ones(values.shape[:-1] + (1,)), values), axis=-1)
-    out = padded[..., idx]
+    """Right-continuous step function: 1 before ``times[0]``, then ``values``."""
+    idx = np.searchsorted(times, np.asarray(t, dtype=float), side="right")
+    out = np.concatenate(([1.0], values))[idx]
     return float(out) if out.ndim == 0 else out
 
 
@@ -243,16 +236,18 @@ class BandPair:
         return _step_lookup(self.times, self.upper, t)
 
 
-def ep_critical_value(a_lower: float, a_upper: float, level: float,
-                      tol: float = 1e-6) -> float:
+_EP_TOL = 1e-6  # absolute tolerance of the critical-value bisection
+
+
+def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
     """Two-sided equal-precision critical coefficient e_alpha.
 
     Solves the Brownian-bridge boundary-crossing approximation
 
         alpha = phi(e) * [ (e - 1/e) * log(a_U (1-a_L) / (a_L (1-a_U))) + 4/e ]
 
-    for e by bisection to absolute tolerance ``tol``.  Isolated here so a
-    tabulated coefficient can be substituted if preferred.
+    for e by bisection to absolute tolerance ``_EP_TOL``.  Isolated here so
+    a tabulated coefficient can be substituted if preferred.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -272,7 +267,7 @@ def ep_critical_value(a_lower: float, a_upper: float, level: float,
         hi *= 2.0
         if hi > 1e3:
             raise BandUndefinedError("critical value solve failed to bracket")
-    while hi - lo > tol:
+    while hi - lo > _EP_TOL:
         mid = 0.5 * (lo + hi)
         if crossing(mid) > alpha:
             lo = mid
@@ -301,82 +296,71 @@ def ep_band(
         raise BandUndefinedError("curve has no steps")
 
     if range is None:
-        usable = (curve.survival > 0.0) & (
-            curve.at_risk >= MIN_RISK_SHARE * curve.n
-        )
-        if not np.any(usable):
-            raise BandUndefinedError("survival drops to 0 at the only step")
-        t_lo = float(curve.times[0])
-        t_hi = float(curve.times[np.nonzero(usable)[0][-1]])
+        inside = slice(None)
+        width = _range_widths(curve.survival[None], curve.at_risk[None], curve.n,
+                              [len(curve)])
+        t_lo, t_hi = float(curve.times[0]), float(curve.times[width[0] - 1])
     else:
         t_lo, t_hi = float(range[0]), float(range[1])
         if t_lo > t_hi:
             raise ValueError(f"empty band range ({t_lo}, {t_hi})")
-
-    inside = (curve.times >= t_lo) & (curve.times <= t_hi)
-    if not np.any(inside):
-        raise BandUndefinedError(f"no event times inside range ({t_lo}, {t_hi})")
-    times = curve.times[inside]
-    surv = curve.survival[inside]
-    gw = curve.greenwood[inside]
-    if np.any(surv <= 0.0) or np.any(~np.isfinite(gw)):
-        raise BandUndefinedError("band range includes times where survival is 0")
-
-    n = curve.n
-    a_vals = n * gw / (1.0 + n * gw)
-    a_lo, a_hi = float(a_vals[0]), float(a_vals[-1])
-    if not a_lo < a_hi:
-        raise BandUndefinedError(
-            f"degenerate range: a(t_L) = a(t_U) = {a_lo:.6g}"
-        )
-    coeff = ep_critical_value(a_lo, a_hi, level)
-
-    half_width = coeff * surv * np.sqrt(gw)
-    lower = np.clip(surv - half_width, 0.0, 1.0)
-    upper = np.clip(surv + half_width, 0.0, 1.0)
-    return BandPair(
-        level=level,
-        coefficient=coeff,
-        times=times,
-        lower=lower,
-        upper=upper,
-        range=(t_lo, t_hi),
-    )
+        inside = (curve.times >= t_lo) & (curve.times <= t_hi)
+        if not np.any(inside):
+            raise BandUndefinedError(f"no event times inside range ({t_lo}, {t_hi})")
+        width = [np.count_nonzero(inside)]
+    coeff, lower, upper, (reason,) = _band_rows(
+        curve.survival[None, inside], curve.greenwood[None, inside], curve.n, width, level)
+    if reason is not None:
+        raise BandUndefinedError(reason)
+    times = curve.times[inside][: width[0]]
+    return BandPair(level=level, coefficient=float(coeff[0]), times=times,
+                    lower=lower[0, : times.size], upper=upper[0, : times.size],
+                    range=(t_lo, t_hi))
 
 
-def _band_rows(curves: _CurveRows, level: float):
-    """Row form of :func:`ep_band` on its default range.
+def _range_widths(survival, at_risk, n: int, steps) -> np.ndarray:
+    """Width of each row's default band range, rows laid out as
+    :class:`_CurveRows`: the columns up to the last step with positive
+    survival and at least ``MIN_RISK_SHARE`` at risk, or 0 if none has."""
+    cols = survival.shape[1]
+    usable = ((survival > 0.0) & (at_risk >= MIN_RISK_SHARE * n)
+              & (np.arange(cols) < np.asarray(steps)[:, None]))
+    return np.where(usable.any(axis=1), cols - np.argmax(usable[:, ::-1], axis=1), 0)
 
-    Returns ``(defined, width, lower, upper)``: whether each row's band
-    exists, how many of the row's leading steps the band range holds, and
-    the clamped band edges over all columns (meaningful only on the first
-    ``width`` columns of a defined row).  The critical value is solved per
-    defined row by :func:`ep_critical_value`, so every defined row's edges
-    equal its ``ep_band`` edges bit for bit.
+
+def _band_rows(survival, greenwood, n: int, width, level: float):
+    """Equal-precision bands on rows of curves of sample size ``n``: row
+    ``r``'s range is its first ``width[r]`` columns, and every row has a
+    column.  :func:`ep_band` is the one-row case.
+
+    Returns ``(coeff, lower, upper, reasons)``: the critical value per row
+    (NaN without a band), the clamped edges over all columns, and per row
+    None where the band exists or the reason it does not.
     """
-    s, gw, n = curves.survival, curves.greenwood, curves.n
-    rows, cols = s.shape
-    col = np.arange(cols)
-    usable = ((s > 0.0) & (curves.at_risk >= MIN_RISK_SHARE * n)
-              & (col < curves.steps[:, None]))
-    defined = usable.any(axis=1)
-    # the range ends at the last usable step
-    width = cols - np.argmax(usable[:, ::-1], axis=1)
-    inside = col < width[:, None]
-    defined &= ~np.any(inside & ((s <= 0.0) | ~np.isfinite(gw)), axis=1)
+    width = np.asarray(width)
+    rows, cols = survival.shape
+    inside = np.arange(cols) < width[:, None]
+    at_zero = np.any(inside & ((survival <= 0.0) | ~np.isfinite(greenwood)), axis=1)
     with np.errstate(invalid="ignore"):
-        a_vals = n * gw / (1.0 + n * gw)
-    a_lo = a_vals[:, 0]
-    a_hi = a_vals[np.arange(rows), width - 1]
-    defined &= a_lo < a_hi
+        a_vals = n * greenwood / (1.0 + n * greenwood)
+    a_lo, a_hi = a_vals[:, 0], a_vals[np.arange(rows), width - 1]
     coeff = np.full(rows, np.nan)
-    for r in np.flatnonzero(defined):
-        try:
-            coeff[r] = ep_critical_value(float(a_lo[r]), float(a_hi[r]), level)
-        except BandUndefinedError:
-            defined[r] = False
+    reasons = [None] * rows
+    for r, (w, zero, lo, hi) in enumerate(
+            zip(width.tolist(), at_zero.tolist(), a_lo.tolist(), a_hi.tolist())):
+        if w == 0:
+            reasons[r] = (f"no step has positive survival with at least "
+                          f"{MIN_RISK_SHARE:.0%} of the sample at risk")
+        elif zero:
+            reasons[r] = "band range includes times where survival is 0"
+        elif not lo < hi:
+            reasons[r] = f"degenerate range: a(t_L) = a(t_U) = {lo:.6g}"
+        else:
+            try:
+                coeff[r] = ep_critical_value(lo, hi, level)
+            except BandUndefinedError as exc:
+                reasons[r] = str(exc)
     with np.errstate(invalid="ignore"):
-        half_width = coeff[:, None] * s * np.sqrt(gw)
-    lower = np.clip(s - half_width, 0.0, 1.0)
-    upper = np.clip(s + half_width, 0.0, 1.0)
-    return defined, width, lower, upper
+        half_width = coeff[:, None] * survival * np.sqrt(greenwood)
+    return (coeff, np.clip(survival - half_width, 0.0, 1.0),
+            np.clip(survival + half_width, 0.0, 1.0), reasons)

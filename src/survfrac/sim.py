@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import Dataset
 from .engine import _BLOCK_CELLS, _map_blocks
 from .fracmean import FractionGrid, _fraction_bound_rows, _fraction_mean_rows
-from .km import _band_rows, _fit_rows
+from .km import _band_rows, _fit_rows, _range_widths
 
 __all__ = [
     "SimConfig",
@@ -32,6 +32,12 @@ def loglogistic_quantile(alpha: float, beta: float, p: float) -> float:
     return alpha * (p / (1.0 - p)) ** (1.0 / beta)
 
 
+def _check_mean_exists(beta: float, grid: FractionGrid) -> None:
+    if grid.lambdas[-1] >= 1.0 and beta <= 1.0:
+        raise ValueError(
+            f"mean diverges for shape beta={beta} <= 1 with the grid reaching 1")
+
+
 def true_fraction_means(alpha: float, beta: float,
                         grid: FractionGrid) -> tuple[float, ...]:
     """Exact per-fraction means of the log-logistic: integral of Q over each slice.
@@ -42,10 +48,7 @@ def true_fraction_means(alpha: float, beta: float,
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if grid.lambdas[-1] >= 1.0 and beta <= 1.0:
-        raise ValueError(
-            f"mean diverges for shape beta={beta} <= 1 with the grid reaching 1"
-        )
+    _check_mean_exists(beta, grid)
 
     # scipy is imported here, its only use, to keep it off the CLI start-up
     from scipy import integrate
@@ -89,6 +92,8 @@ class SimConfig:
             raise ValueError("alpha, beta and censor_upper must be positive")
         if not 0.0 < self.band_level < 1.0:
             raise ValueError("band_level must be in (0, 1)")
+        # checked here, so a design without a truth fails before the study
+        _check_mean_exists(self.beta, self.grid)
 
 
 def _draw_rows(cfg: SimConfig, start: int, stop: int):
@@ -153,15 +158,16 @@ def _study_rows(times, status, grid: FractionGrid, level: float):
     Returns ``(mu, computable, events, lower, upper, band_ok, censored)``:
     the fraction means, their flags, event counts and band-integrated
     bounds (rows x K), whether the band exists and the censored count
-    (rows).  Each row equals what :func:`survfrac.fit_km`,
-    :func:`survfrac.fraction_means`, :func:`survfrac.ep_band` and
-    :func:`survfrac.fraction_mean_bounds` give for that sample, bit for
-    bit; rows without a band get bounds ``(nan, inf)``.
+    (rows).  The public per-sample functions are the one-row case of these
+    kernels; rows without a band get bounds ``(nan, inf)``.
     """
     curves = _fit_rows(times, status)
     mu, computable, events = _fraction_mean_rows(
         curves.times, curves.survival, curves.events, curves.steps, grid)
-    band_ok, width, lower, upper = _band_rows(curves, level)
+    width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
+    _, lower, upper, reasons = _band_rows(
+        curves.survival, curves.greenwood, curves.n, width, level)
+    band_ok = np.array([reason is None for reason in reasons])
     low, up = _fraction_bound_rows(curves.times, lower, upper, width, band_ok, grid)
     censored = times.shape[1] - status.sum(axis=1)
     return mu, computable, events, low, up, band_ok, censored

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from survfrac import (
+    BandPair,
     BandUndefinedError,
     DataError,
     Dataset,
@@ -17,12 +18,12 @@ from survfrac import (
     RowError,
     SchemaError,
     FractionGrid,
-    ep_band,
+    ep_critical_value,
     fit_km,
     quantile,
 )
 from survfrac.fracmean import _DOT_CHUNK
-from survfrac.km import _km_rows
+from survfrac.km import MIN_RISK_SHARE, _km_rows
 
 
 def random_censored_dataset(rng, n=None, n_range=(5, 50), tie_share=0.0):
@@ -261,20 +262,78 @@ def reference_fraction_mean_bounds(curve, band, grid):
     return tuple(out)
 
 
+def reference_ep_band(curve, level, range=None):
+    """Per-curve band: the reference for ``km._band_rows``.
+
+    Finds the range, then checks and builds the one band with 1-D array
+    operations; each undefined case raises as soon as it is found.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    if len(curve) == 0:
+        raise BandUndefinedError("curve has no steps")
+
+    if range is None:
+        usable = (curve.survival > 0.0) & (
+            curve.at_risk >= MIN_RISK_SHARE * curve.n
+        )
+        if not np.any(usable):
+            raise BandUndefinedError(
+                f"no step has positive survival with at least "
+                f"{MIN_RISK_SHARE:.0%} of the sample at risk"
+            )
+        t_lo = float(curve.times[0])
+        t_hi = float(curve.times[np.nonzero(usable)[0][-1]])
+    else:
+        t_lo, t_hi = float(range[0]), float(range[1])
+        if t_lo > t_hi:
+            raise ValueError(f"empty band range ({t_lo}, {t_hi})")
+
+    inside = (curve.times >= t_lo) & (curve.times <= t_hi)
+    if not np.any(inside):
+        raise BandUndefinedError(f"no event times inside range ({t_lo}, {t_hi})")
+    times = curve.times[inside]
+    surv = curve.survival[inside]
+    gw = curve.greenwood[inside]
+    if np.any(surv <= 0.0) or np.any(~np.isfinite(gw)):
+        raise BandUndefinedError("band range includes times where survival is 0")
+
+    n = curve.n
+    a_vals = n * gw / (1.0 + n * gw)
+    a_lo, a_hi = float(a_vals[0]), float(a_vals[-1])
+    if not a_lo < a_hi:
+        raise BandUndefinedError(
+            f"degenerate range: a(t_L) = a(t_U) = {a_lo:.6g}"
+        )
+    coeff = ep_critical_value(a_lo, a_hi, level)
+
+    half_width = coeff * surv * np.sqrt(gw)
+    lower = np.clip(surv - half_width, 0.0, 1.0)
+    upper = np.clip(surv + half_width, 0.0, 1.0)
+    return BandPair(
+        level=level,
+        coefficient=coeff,
+        times=times,
+        lower=lower,
+        upper=upper,
+        range=(t_lo, t_hi),
+    )
+
+
 def replicate_stats(cfg, index):
     """One study replicate through the per-sample references.
 
     The per-replicate reference for the block-batched study: returns
     (mu, computable, events, bounds, band_ok, censored) from
-    ``reference_fit_km``, ``reference_fraction_means``, ``ep_band`` and
-    ``reference_fraction_mean_bounds``; a replicate without a band gets
-    the bounds (nan, inf).
+    ``reference_fit_km``, ``reference_fraction_means``,
+    ``reference_ep_band`` and ``reference_fraction_mean_bounds``; a
+    replicate without a band gets the bounds (nan, inf).
     """
     ds = study_replicate(cfg, index)
     curve = reference_fit_km(ds)
     fm = reference_fraction_means(curve, cfg.grid)
     try:
-        band = ep_band(curve, cfg.band_level)
+        band = reference_ep_band(curve, cfg.band_level)
         bounds = reference_fraction_mean_bounds(curve, band, cfg.grid)
         band_ok = True
     except BandUndefinedError:

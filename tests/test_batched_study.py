@@ -1,6 +1,6 @@
 """The block-batched Monte Carlo study against the per-replicate references
-(``reference_fit_km`` -> ``reference_fraction_means`` -> ``ep_band`` ->
-``reference_fraction_mean_bounds`` in ``helpers``), compared exactly: the
+(``reference_fit_km`` -> ``reference_fraction_means`` -> ``reference_ep_band``
+-> ``reference_fraction_mean_bounds`` in ``helpers``), compared exactly: the
 batched rows must reproduce them bit for bit."""
 
 import math
@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     random_censored_dataset,
+    reference_ep_band,
     reference_fit_km,
     reference_fraction_mean_bounds,
     reference_fraction_means,
@@ -21,12 +22,11 @@ from survfrac import (
     EmptyEventsError,
     FractionGrid,
     SimConfig,
-    ep_band,
     run_study,
 )
 from survfrac import sim
 from survfrac.cli import main
-from survfrac.km import _band_rows, _fit_rows
+from survfrac.km import _band_rows, _fit_rows, _range_widths
 
 DESIGNS = {
     "n30": SimConfig(n_datasets=80, n=30, seed=1),
@@ -79,7 +79,10 @@ def test_study_rows_merge_tied_times_like_fit_km():
     assert all(np.unique(t).size < t.size for t in times[:60])
 
     curves = _fit_rows(times, status)
-    defined, width, band_lower, band_upper = _band_rows(curves, level)
+    width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
+    _, band_lower, band_upper, reasons = _band_rows(
+        curves.survival, curves.greenwood, curves.n, width, level)
+    defined = np.array([reason is None for reason in reasons])
     mu, computable, events, lower, upper, band_ok, censored = sim._study_rows(
         times, status, grid, level
     )
@@ -97,7 +100,7 @@ def test_study_rows_merge_tied_times_like_fit_km():
         assert tuple(events[r].tolist()) == fm.events
         assert censored[r] == len(ds) - ds.n_events
         try:
-            band = ep_band(curve, level)
+            band = reference_ep_band(curve, level)
         except BandUndefinedError:
             assert not band_ok[r]
             assert np.isnan(lower[r]).all() and np.isinf(upper[r]).all()

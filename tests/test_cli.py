@@ -468,3 +468,31 @@ def test_output_same_for_any_blas_thread_count(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv[0]
+
+
+def test_band_note_names_both_default_range_conditions(run, tmp_path):
+    # survival stays positive to the last step, but after 96 censorings at
+    # t=1 no step has 5 of the 100 subjects at risk
+    p = tmp_path / "late.csv"
+    p.write_text("time,status\n" + "1,0\n" * 96 + "2,1\n3,1\n4,1\n5,1\n")
+    code, out, _ = run("estimate", "--input", str(p), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["notes"] == [
+        "band undefined: no step has positive survival with at least 5% "
+        "of the sample at risk"
+    ]
+
+
+def test_divergent_design_fails_before_the_study(run, monkeypatch):
+    import survfrac.sim
+
+    spans = []
+    monkeypatch.setattr(survfrac.sim, "_map_blocks",
+                        lambda *args: spans.append(args) or [])
+    code, out, err = run("simulate", "--beta", "0.9", "--lambdas", "0.5,1",
+                         "--n-datasets", "20000")
+    assert code == 2
+    assert out == ""
+    assert err == ("survfrac simulate: error: mean diverges for shape "
+                   "beta=0.9 <= 1 with the grid reaching 1\n")
+    assert spans == []

@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +153,32 @@ def test_split_requires_group_labels():
     ds = parse_csv(b"time,status\n1,1\n")
     with pytest.raises(DataError):
         split_by_group(ds)
+
+
+def test_parse_leaves_a_callers_binary_handle_open(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"time,status\n2,1\n3,0\n")
+    with open(p, "rb") as fh:
+        ds = parse_csv(fh)
+        assert not fh.closed
+        assert fh.read() == b""
+    assert list(ds.times) == [2.0, 3.0]
+    with open(p, "rb") as fh:
+        with pytest.raises(SchemaError):
+            parse_csv(fh, time_col="days")
+        assert not fh.closed
+
+
+@pytest.mark.parametrize("text", ["time,status\n2,1\n3,0\n", "time,status\nx,1\n",
+                                  "days,status\n2,1\n"])
+def test_parse_closes_the_file_it_opens(tmp_path, text):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            parse_csv(p)
+        except DataError:
+            pass
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

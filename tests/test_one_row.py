@@ -1,9 +1,12 @@
 """The public per-sample functions against their per-sample references.
 
-``fit_km``, ``fraction_means`` and ``fraction_mean_bounds`` are the one-row
-case of the study's row kernels; ``helpers`` keeps the per-sample loops
-they replaced.  Every result must match its reference bit for bit.
+``fit_km``, ``fraction_means``, ``fraction_mean_bounds`` and ``ep_band`` are
+the one-row case of the study's row kernels; ``helpers`` keeps the
+per-sample code they replaced.  Every result must match its reference bit
+for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
+    reference_ep_band,
     reference_fit_km,
     reference_fraction_mean_bounds,
     reference_fraction_means,
@@ -21,6 +25,7 @@ from survfrac import (
     Dataset,
     EmptyEventsError,
     FractionGrid,
+    KmCurve,
     ep_band,
     fit_km,
     fraction_mean_bounds,
@@ -139,3 +144,82 @@ def test_one_row_fit_rejects_a_sample_without_events():
         with pytest.raises(EmptyEventsError,
                            match="^cannot fit a curve to a sample with no events$"):
             fit(ds)
+
+
+def band_outcome(band_fn, curve, level, band_range):
+    """The band's bits, or the type and text of the error that stops it."""
+    try:
+        band = band_fn(curve, level, range=band_range)
+    except ValueError as exc:  # BandUndefinedError included
+        return type(exc), str(exc)
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes())
+                   for a in (band.times, band.lower, band.upper))
+    return repr((band.level, band.coefficient, band.range)), arrays
+
+
+@st.composite
+def _fitted_curves(draw):
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        times = draw(hnp.arrays(float, n, elements=st.integers(0, 8).map(float)))
+    else:
+        times = draw(hnp.arrays(float, n, elements=st.floats(0.0, 20.0, width=32)))
+    status = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(status.any())
+    return fit_km(_dataset(times, status))
+
+
+@st.composite
+def _built_curves(draw):
+    """Hand-built curves the fit never gives: no steps, a first Greenwood
+    term of 0, repeated a-values, a zero or infinite tail."""
+    m = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m,
+                                 unique=True)))
+    survival = sorted(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8, 1.0]),
+                                    min_size=m, max_size=m)), reverse=True)
+    greenwood = sorted(draw(st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.3, math.inf]),
+                                     min_size=m, max_size=m)))
+    if m and draw(st.booleans()):
+        greenwood[0] = 0.0
+    at_risk = sorted(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m)),
+                     reverse=True)
+    n = draw(st.integers(max(at_risk, default=1), 60))
+    return KmCurve(times=np.array(times, dtype=float),
+                   at_risk=np.array(at_risk, dtype=np.int64),
+                   events=np.ones(m, dtype=np.int64),
+                   survival=np.array(survival, dtype=float),
+                   greenwood=np.array(greenwood, dtype=float), n=n)
+
+
+@st.composite
+def _curves_with_ranges(draw):
+    """A fitted or hand-built curve with None or an explicit range: on
+    steps (one step when both ends agree), between steps, reversed, or
+    with NaN or infinite ends."""
+    curve = draw(st.one_of(_fitted_curves(), _built_curves()))
+    if draw(st.booleans()):
+        return curve, None
+    ends = curve.times.tolist()
+    ends += [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    ends += [0.0, math.nan, math.inf, -math.inf]
+    return curve, (draw(st.sampled_from(ends)), draw(st.sampled_from(ends)))
+
+
+LEVELS = st.sampled_from([1e-9, 0.5, 0.8, 0.9, 0.95, 0.99])
+STEPS = _dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 0])
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_curves_with_ranges(), LEVELS)
+# levels outside (0, 1)
+@example((fit_km(STEPS), None), 0.0)
+@example((fit_km(STEPS), (1.0, 3.0)), 1.0)
+@example((fit_km(STEPS), None), math.nan)
+# survival stays positive, but no step keeps 5% of the sample at risk
+@example((fit_km(_dataset(np.r_[np.ones(96), 2.0, 3.0, 4.0, 5.0],
+                          np.r_[np.zeros(96), 1, 1, 1, 1])), None), 0.95)
+def test_ep_band_matches_reference(sample, level):
+    curve, band_range = sample
+    assert band_outcome(ep_band, curve, level, band_range) == band_outcome(
+        reference_ep_band, curve, level, band_range)
