@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .fracmean import (
     max_observed_fraction,
     truncate_grid,
 )
-from .inference import bootstrap_compare
-from .km import BandUndefinedError, ep_band, fit_km
+from .inference import _check_bootstrap_args, bootstrap_compare
+from .km import BandUndefinedError, _check_level, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
 from .sim import SimConfig, run_study
 
@@ -54,6 +55,18 @@ def _parse_lambdas(text: str) -> FractionGrid:
         return FractionGrid.from_uppers(uppers)
     except ValueError as exc:
         raise DataError(f"bad --lambdas value {text!r}: {exc}") from None
+
+
+@contextmanager
+def _user_values():
+    """Report the ValueError of a check on values the user gave as a
+    :class:`DataError`.  Wrap only such checks: any other ValueError is a
+    fault of the program and must end in a traceback, not exit status 2.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _base_metadata(**extra) -> dict:
@@ -95,10 +108,9 @@ def cmd_estimate(args) -> OutputDocument:
     ds = _load(args)
     curve = fit_km(ds)
     max_frac = max_observed_fraction(curve)
-    if args.lambdas:
-        grid = _parse_lambdas(args.lambdas)
-    else:
-        grid = decile_grid(max_frac)
+    with _user_values():
+        grid = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(max_frac)
+        _check_level(args.band_level)
 
     notes = []
     band = None
@@ -141,8 +153,9 @@ def cmd_compare(args) -> OutputDocument:
 
     curves = {label: fit_km(g) for label, g in ((args.ref_group, g0), (other, g1))}
     common_max = min(max_observed_fraction(c) for c in curves.values())
-    requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
-    grid = truncate_grid(requested, common_max)
+    with _user_values():
+        requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
+        grid = truncate_grid(requested, common_max)
 
     horizon = None
     if args.restricted_mean == "auto":
@@ -152,8 +165,8 @@ def cmd_compare(args) -> OutputDocument:
             horizon = float(args.restricted_mean)
         except ValueError:
             raise DataError(f"bad horizon {args.restricted_mean!r}") from None
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise DataError(f"horizon must be finite and positive, got {horizon}")
+    with _user_values():
+        _check_bootstrap_args(grid, horizon, args.bootstrap, args.level)
 
     result = bootstrap_compare(
         g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
@@ -218,7 +231,7 @@ def _read_sim_config(path: str) -> dict:
         "band_level": float,
         "seed": int,
     }
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _user_values():
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -254,10 +267,8 @@ def cmd_simulate(args) -> OutputDocument:
     grid = _parse_lambdas(grid_text) if isinstance(grid_text, str) else grid_text
     settings.setdefault("n_datasets", 500)
     settings.setdefault("n", 200)
-    try:
+    with _user_values():
         cfg = SimConfig(grid=grid, **settings)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
 
     summary = run_study(cfg, workers=args.workers)
     columns = {
@@ -312,6 +323,9 @@ def cmd_km_curve(args) -> OutputDocument:
         groups = split_by_group(ds)
     else:
         groups = {None: ds}
+    if args.band_level is not None:
+        with _user_values():
+            _check_level(args.band_level)
 
     notes = []
     sections = []
@@ -418,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = args.handler(args)
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"survfrac {args.command}: error: {exc}", file=sys.stderr)
         return 2
     fmt = args.format if args.format else _default_format()

@@ -125,9 +125,38 @@ def parse_csv(
     SchemaError
         A named column is absent from the header.
     RowError
-        A cell fails to parse or violates a field invariant.
+        A row is malformed, or a cell fails to parse or violates a field
+        invariant.
     EmptyEventsError
         No row has status 1.
+    DataError
+        The input is not UTF-8 text.
+    """
+    try:
+        t_cells, s_cells, g_cells, blank, malformed = _read_cells(
+            source, time_col, status_col, group_col)
+    except UnicodeDecodeError as exc:
+        raise DataError(str(exc)) from None
+    columns = _convert_columns(t_cells, s_cells, g_cells)
+    if columns is None:
+        columns = _convert_rows(t_cells, s_cells, g_cells, blank, group_col)
+    if malformed is not None:
+        raise malformed
+    times, status, groups = columns
+    if times.size == 0:
+        raise DataError("input has no data rows")
+    if not status.any():
+        raise EmptyEventsError("input contains no observed events")
+    return Dataset(times=times, status=status, groups=groups)
+
+
+def _read_cells(source, time_col, status_col, group_col):
+    """The needed columns' cells of :func:`parse_csv`'s input: ``(time
+    cells, status cells, group cells or None, blank row numbers, the
+    RowError of a malformed row or None)``.
+
+    Reading stops at the first malformed row: a short row or one the CSV
+    reader rejects, such as a cell over its field size limit.
     """
     with _text_stream(source) as stream:
         reader = csv.reader(stream)
@@ -135,6 +164,8 @@ def parse_csv(
             header = next(reader)
         except StopIteration:
             raise SchemaError("input has no header row") from None
+        except csv.Error as exc:
+            raise SchemaError(f"unreadable header row: {exc}") from None
         header = [h.strip() for h in header]
         index: dict[str, int] = {}
         for name in (time_col, status_col) + ((group_col,) if group_col is not None else ()):
@@ -149,32 +180,27 @@ def parse_csv(
         s_cells: list[str] = []
         g_cells: list[str] | None = [] if gi is not None else None
         blank: list[int] = []
-        short = None
-        for row_no, row in enumerate(reader, start=1):
-            # a row whose time cell holds text is neither blank nor short
-            if len(row) < width or not row[ti].strip():
-                if all(cell.strip() == "" for cell in row):
-                    blank.append(row_no)
-                    continue
-                if len(row) < width:
-                    short = RowError(row_no, f"expected {width} cells, got {len(row)}")
-                    break
-            t_cells.append(row[ti])
-            s_cells.append(row[si])
-            if g_cells is not None:
-                g_cells.append(row[gi])
-
-    columns = _convert_columns(t_cells, s_cells, g_cells)
-    if columns is None:
-        columns = _convert_rows(t_cells, s_cells, g_cells, blank, group_col)
-    if short is not None:
-        raise short
-    times, status, groups = columns
-    if times.size == 0:
-        raise DataError("input has no data rows")
-    if not status.any():
-        raise EmptyEventsError("input contains no observed events")
-    return Dataset(times=times, status=status, groups=groups)
+        malformed = None
+        row_no = 0
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                # a row whose time cell holds text is neither blank nor short
+                if len(row) < width or not row[ti].strip():
+                    if all(cell.strip() == "" for cell in row):
+                        blank.append(row_no)
+                        continue
+                    if len(row) < width:
+                        malformed = RowError(row_no,
+                                             f"expected {width} cells, got {len(row)}")
+                        break
+                t_cells.append(row[ti])
+                s_cells.append(row[si])
+                if g_cells is not None:
+                    g_cells.append(row[gi])
+        except csv.Error as exc:
+            # the reader failed on the row after the last one it returned
+            malformed = RowError(row_no + 1, str(exc))
+    return t_cells, s_cells, g_cells, blank, malformed
 
 
 def _convert_columns(t_cells, s_cells, g_cells):

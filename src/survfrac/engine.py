@@ -22,9 +22,13 @@ def _map_blocks(work, total: int, block: int, workers: int) -> list:
 
     Results come back in span order.  With ``workers > 1`` the spans are
     mapped over a process pool started by the platform's default method;
-    its start-up outweighed the work on small inputs under ``spawn``.
+    its start-up outweighed the work on small inputs under ``spawn``.  The
+    pool holds at most one worker per span, since under ``fork`` every
+    worker is started at the first submit, busy or not; a single span is
+    mapped in this process.
     """
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
+    workers = min(workers, len(spans))
     if workers <= 1:
         return [work(span) for span in spans]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -108,6 +108,8 @@ def _dot(x, y):
             return a @ b
         return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
+    if x.shape[-1] <= _DOT_CHUNK:
+        return part(x, y)
     total = part(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
     for start in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
         stop = start + _DOT_CHUNK
@@ -173,72 +175,66 @@ def fraction_mean_bounds(
 
 
 def restricted_mean(curve: KmCurve, horizon: float) -> float:
-    """Area under the fitted survival step function from 0 to ``horizon``."""
+    """Area under the fitted survival step function from 0 to ``horizon``;
+    the one-row case of :func:`_restricted_mean_rows`."""
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    clipped = np.minimum(curve.times, horizon)
-    starts = np.concatenate(([0.0], clipped))
-    ends = np.concatenate((clipped, [horizon]))
-    values = np.concatenate(([1.0], curve.survival))
-    return float(_dot(values, np.maximum(ends - starts, 0.0)))
+    return float(_restricted_mean_rows(curve.times, curve.survival[None], horizon)[0])
 
 
-def _fraction_rows(times, surv, grid: FractionGrid):
-    """Row form of :func:`fraction_means`: ``(mu_bar, computable)``.
+def _reaches(last, grid: FractionGrid) -> np.ndarray:
+    """Computable fractions, rows x K, of rows whose decreasing survival
+    ends at ``last``: those whose lower window edge gamma_k it reaches."""
+    return np.asarray(last)[:, None] <= np.asarray(grid.gammas[1:])
 
-    ``surv`` holds one survival row per sample, valued at every one of the
-    shared sorted ``times``; a column without events repeats the previous
-    value and so adds no mass.  Results are (rows x K).
+
+def _window_masses(times, edge, width, grid: FractionGrid, events=None):
+    """Mass of each fraction's survival window [gamma_k, gamma_{k-1}]
+    under rows of decreasing step functions: ``(mass, counts)``, rows x K.
+
+    Row ``r`` holds its steps in the first ``w = width[r]`` columns of
+    ``times`` and ``edge``, with the leading value 1 implied.  Each mass is
+    ``_dot(times[r, :w], overlap[r, :w])``: stacked rows of one width go
+    through the same BLAS dot as a single row, so a row's masses do not
+    depend on the rows evaluated with it.  With ``events`` given,
+    ``counts`` holds the events at the steps of positive overlap (a step
+    straddling a window edge counts in both fractions), else None.
     """
-    prev = np.empty_like(surv)
-    prev[:, 0] = 1.0
-    prev[:, 1:] = surv[:, :-1]
+    width = np.asarray(width)
+    order = None
+    if np.any(width[1:] < width[:-1]):
+        # rows of one width become a contiguous run
+        order = np.argsort(width, kind="stable")
+        times, edge, width = times[order], edge[order], width[order]
+        if events is not None:
+            events = events[order]
+    firsts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()
+    runs = list(zip(firsts, firsts[1:] + [width.size], width[firsts].tolist()))
+    mass = np.empty((width.size, grid.k))
+    counts = None
+    if events is not None:
+        events = np.where(np.arange(edge.shape[1]) < width[:, None], events, 0)
+        counts = np.empty((width.size, grid.k), dtype=events.dtype)
+    overlap = np.empty_like(edge)
+    floor = np.empty_like(edge)
     gammas = grid.gammas
-    widths = grid.widths
-    mu_bar = np.empty((surv.shape[0], grid.k))
     for j in range(grid.k):
-        overlap = np.minimum(prev, gammas[j]) - np.maximum(surv, gammas[j + 1])
+        # each step spans (edge, previous edge], the first step (edge, 1]
+        overlap[:, 0] = gammas[j]
+        np.minimum(edge[:, :-1], gammas[j], out=overlap[:, 1:])
+        np.maximum(edge, gammas[j + 1], out=floor)
+        overlap -= floor
         np.maximum(overlap, 0.0, out=overlap)
-        # a per-row sum, not a matrix product, whose blocking could make a
-        # row's rounding depend on the rows evaluated with it
-        mu_bar[:, j] = (overlap * times).sum(axis=1) / widths[j]
-    # survival never increases along a row, so its last value decides
-    computable = surv[:, -1:] <= np.asarray(gammas[1:])
-    return mu_bar, computable
-
-
-def _window_overlap_rows(edge, grid: FractionGrid) -> np.ndarray:
-    """Overlap of each step with each fraction's survival window
-    [gamma_k, gamma_{k-1}]: rows x K x cols.
-
-    ``edge`` holds decreasing survival step rows with the leading value 1
-    implied.
-    """
-    prev = np.empty_like(edge)
-    prev[:, 0] = 1.0
-    prev[:, 1:] = edge[:, :-1]
-    gammas = np.asarray(grid.gammas)[:, None]
-    overlap = (np.minimum(prev[:, None, :], gammas[:-1])
-               - np.maximum(edge[:, None, :], gammas[1:]))
-    return np.maximum(overlap, 0.0, out=overlap)
-
-
-def _window_mass_rows(times, overlap, width) -> np.ndarray:
-    """``times[r, :w] @ overlap[r, j, :w]`` with ``w = width[r]``: rows x K.
-
-    Each mass is the very product ``_dot(times[r, :w], overlap[r, j, :w])``
-    would take: :func:`_dot` on stacked rows calls the same BLAS dot per
-    pair, which may fuse multiply-adds as no numpy row reduction does, so
-    a row's masses do not depend on the rows evaluated with it.  Rows are
-    stacked by width.
-    """
-    out = np.empty(overlap.shape[:2])
-    # a set, not np.unique, whose hashing path costs about 1 MiB of peak
-    # memory on first use
-    for w in set(width.tolist()):
-        rows = np.flatnonzero(width == w)
-        out[rows] = _dot(times[rows, None, :w], overlap[rows, :, :w])
-    return out
+        for a, b, w in runs:
+            mass[a:b, j] = _dot(times[a:b, :w], overlap[a:b, :w])
+        if counts is not None:
+            np.sum(events, axis=1, where=overlap > 0.0, out=counts[:, j])
+    if order is not None:
+        back = np.argsort(order)
+        mass = mass[back]
+        if counts is not None:
+            counts = counts[back]
+    return mass, counts
 
 
 def _fraction_mean_rows(times, survival, events, steps, grid: FractionGrid):
@@ -247,13 +243,9 @@ def _fraction_mean_rows(times, survival, events, steps, grid: FractionGrid):
 
     Row ``r`` holds one curve's steps in its first ``steps[r]`` columns.
     """
-    valid = (np.arange(times.shape[1]) < steps[:, None])[:, None, :]
-    overlap = _window_overlap_rows(survival, grid)
-    mu = _window_mass_rows(times, overlap, steps)
-    lows = np.asarray(grid.gammas[1:])[:, None]
-    computable = np.any(valid & (survival[:, None, :] <= lows), axis=2)
-    events = np.where(valid & (overlap > 0.0), events[:, None, :], 0).sum(axis=2)
-    return mu, computable, events
+    mu, counts = _window_masses(times, survival, steps, grid, events)
+    last = survival[np.arange(steps.size), steps - 1]
+    return mu, _reaches(last, grid), counts
 
 
 def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid):
@@ -265,17 +257,19 @@ def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid
     lower_edge = np.minimum.accumulate(lower, axis=1)
     upper_edge = np.minimum.accumulate(upper, axis=1)
     last = upper_edge[np.arange(width.size), width - 1]
-    reaches = defined[:, None] & (last[:, None] <= np.asarray(grid.gammas[1:]))
-    lo_mass = _window_mass_rows(times, _window_overlap_rows(lower_edge, grid), width)
-    up_mass = _window_mass_rows(times, _window_overlap_rows(upper_edge, grid), width)
+    reaches = defined[:, None] & _reaches(last, grid)
+    lo_mass, _ = _window_masses(times, lower_edge, width, grid)
+    up_mass, _ = _window_masses(times, upper_edge, width, grid)
     return (np.where(defined[:, None], lo_mass, np.nan),
             np.where(reaches, up_mass, np.inf))
 
 
 def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
-    """Row form of :func:`restricted_mean`, laid out as :func:`_fraction_rows`."""
-    edges = np.minimum(times, horizon)
-    return edges[0] + (surv * np.diff(edges, append=horizon)).sum(axis=1)
+    """Row form of :func:`restricted_mean` on survival rows valued at the
+    shared sorted ``times``, with the leading value 1."""
+    values = np.concatenate((np.ones((surv.shape[0], 1)), surv), axis=1)
+    spans = np.diff(np.minimum(times, horizon), prepend=0.0, append=horizon)
+    return _dot(values, spans)
 
 
 _GRID_TOL = 1e-12  # slack for a fraction that rounding puts past the maximum

@@ -21,12 +21,13 @@ from .dataset import Dataset
 from .engine import _BLOCK_CELLS, _map_blocks
 from .fracmean import (
     FractionGrid,
-    _fraction_rows,
+    _reaches,
     _restricted_mean_rows,
+    _window_masses,
     fraction_means,
     restricted_mean,
 )
-from .km import _km_rows, fit_km
+from .km import _check_level, _km_rows, fit_km
 
 __all__ = [
     "DiffEstimate",
@@ -126,7 +127,13 @@ def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
     tot, ev = _replicate_counts(group, seed, start, stop)
     _, surv = _km_rows(tot, ev)
     if grid is not None:
-        mu_bar, computable = _fraction_rows(group.times, surv, grid)
+        # every column is a valid curve value: a time without events in a
+        # replicate repeats the previous value and so adds no mass
+        rows, m = surv.shape
+        mu, _ = _window_masses(np.broadcast_to(group.times, surv.shape), surv,
+                               np.full(rows, m), grid)
+        mu_bar = mu / np.asarray(grid.widths)
+        computable = _reaches(surv[:, -1], grid)
     else:
         mu_bar = np.empty((stop - start, 0))
         computable = np.empty((stop - start, 0), dtype=bool)
@@ -202,6 +209,17 @@ def _estimate(point: float, col: np.ndarray, B: int, level: float,
     )
 
 
+def _check_bootstrap_args(grid, horizon, B: int, level: float) -> None:
+    """The argument checks of :func:`bootstrap_compare`."""
+    if B < 100:
+        raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
+    _check_level(level)
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if grid is None and horizon is None:
+        raise ValueError("nothing to compare: give a grid, a horizon or both")
+
+
 def bootstrap_compare(
     g0: Dataset,
     g1: Dataset,
@@ -227,15 +245,7 @@ def bootstrap_compare(
 
     Deterministic given (inputs, B, level, seed), for any ``workers``.
     """
-    if B < 100:
-        raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if grid is None and horizon is None:
-        raise ValueError("nothing to compare: give a grid, a horizon or both")
-
+    _check_bootstrap_args(grid, horizon, B, level)
     c0, c1 = fit_km(g0), fit_km(g1)
     points: list[float] = []
     if grid is not None:

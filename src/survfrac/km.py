@@ -174,20 +174,15 @@ def fit_km(ds: Dataset) -> KmCurve:
     )
 
 
-def _step_lookup(times, values, t):
-    """Right-continuous step function: 1 before ``times[0]``, then ``values``."""
-    idx = np.searchsorted(times, np.asarray(t, dtype=float), side="right")
-    out = np.concatenate(([1.0], values))[idx]
-    return float(out) if out.ndim == 0 else out
-
-
 def survival_at(curve: KmCurve, t) -> float | np.ndarray:
     """Right-continuous step evaluation of the fitted curve.
 
     Returns 1 before the first step and holds the last step's value
     afterwards.  Accepts a scalar or an array of times.
     """
-    return _step_lookup(curve.times, curve.survival, t)
+    idx = np.searchsorted(curve.times, np.asarray(t, dtype=float), side="right")
+    out = np.concatenate(([1.0], curve.survival))[idx]
+    return float(out) if out.ndim == 0 else out
 
 
 def quantile(curve: KmCurve, p: float) -> float | None:
@@ -229,14 +224,14 @@ class BandPair:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def lower_at(self, t) -> float | np.ndarray:
-        return _step_lookup(self.times, self.lower, t)
-
-    def upper_at(self, t) -> float | np.ndarray:
-        return _step_lookup(self.times, self.upper, t)
-
 
 _EP_TOL = 1e-6  # absolute tolerance of the critical-value bisection
+
+
+def _check_level(level: float) -> None:
+    """Reject a confidence level outside (0, 1), NaN included."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
 
 
 def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
@@ -249,8 +244,7 @@ def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
     for e by bisection to absolute tolerance ``_EP_TOL``.  Isolated here so
     a tabulated coefficient can be substituted if preferred.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     if not 0.0 < a_lower < a_upper < 1.0:
         raise BandUndefinedError(
             f"band requires 0 < a_L < a_U < 1, got ({a_lower}, {a_upper})"
@@ -290,8 +284,7 @@ def ep_band(
     undefined where the curve sits at 0 or 1, and unreliable once the risk
     set has nearly emptied).  An explicit ``range`` is used verbatim.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     if len(curve) == 0:
         raise BandUndefinedError("curve has no steps")
 

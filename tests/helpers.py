@@ -262,6 +262,18 @@ def reference_fraction_mean_bounds(curve, band, grid):
     return tuple(out)
 
 
+def reference_restricted_mean(curve, horizon):
+    """Per-curve area to ``horizon``: the reference for
+    ``fracmean._restricted_mean_rows``."""
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    clipped = np.minimum(curve.times, horizon)
+    starts = np.concatenate(([0.0], clipped))
+    ends = np.concatenate((clipped, [horizon]))
+    values = np.concatenate(([1.0], curve.survival))
+    return float(_reference_dot(values, np.maximum(ends - starts, 0.0)))
+
+
 def reference_ep_band(curve, level, range=None):
     """Per-curve band: the reference for ``km._band_rows``.
 

@@ -24,7 +24,7 @@ from survfrac import (
     SimConfig,
     run_study,
 )
-from survfrac import sim
+from survfrac import engine, sim
 from survfrac.cli import main
 from survfrac.km import _band_rows, _fit_rows, _range_widths
 
@@ -130,6 +130,40 @@ def test_run_study_same_for_any_worker_count(monkeypatch):
     serial = run_study(cfg, workers=1)
     assert run_study(cfg, workers=2) == serial
     assert run_study(cfg, workers=3) == serial
+
+
+def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ``ProcessPoolExecutor``: records the worker count
+        it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    assert engine._map_blocks(tuple, 5, 2, workers=2) == [(0, 2), (2, 4), (4, 5)]
+    assert engine._map_blocks(tuple, 5, 2, workers=4) == [(0, 2), (2, 4), (4, 5)]
+    assert engine._map_blocks(tuple, 2, 5, workers=4) == [(0, 2)]
+    assert sizes == [2, 3]
+    # two samples of 20 fit one block, so the study starts no pool
+    argv = ["simulate", "--n-datasets", "2", "--n", "20", "--censor-upper", "10",
+            "--format", "csv"]
+    assert main(argv + ["--workers", "4"]) == 0
+    pooled = capsys.readouterr().out
+    assert sizes == [2, 3]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == pooled
 
 
 EVENT_FREE = dict(n_datasets=50, n=5, censor_upper=0.01, seed=1)

@@ -496,3 +496,52 @@ def test_divergent_design_fails_before_the_study(run, monkeypatch):
     assert err == ("survfrac simulate: error: mean diverges for shape "
                    "beta=0.9 <= 1 with the grid reaching 1\n")
     assert spans == []
+
+
+def test_oversized_cell_exit_2_with_row_number(run, tmp_path):
+    # the csv module refuses a cell over its field size limit, even in a
+    # column the command does not read
+    p = tmp_path / "wide.csv"
+    p.write_text("time,status,note\n1,1,a\n2,1," + "x" * 200_000 + "\n3,0,b\n")
+    code, out, err = run("estimate", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == ("survfrac estimate: error: row 2: field larger than field "
+                   "limit (131072)\n")
+
+
+def test_non_utf8_input_exit_2(run, tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("time,status,note\n1,1,café\n2,0,x\n".encode("latin-1"))
+    code, out, err = run("estimate", "--input", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("survfrac estimate: error: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
+    (["km-curve", "--band-level", "0"], "level must be in (0, 1), got 0.0"),
+    (["compare", "--group-col", "arm", "--ref-group", "allo", "--bootstrap", "50"],
+     "need at least 100 bootstrap replicates, got 50"),
+    (["compare", "--group-col", "arm", "--ref-group", "allo", "--level", "nan"],
+     "level must be in (0, 1), got nan"),
+    (["compare", "--group-col", "arm", "--ref-group", "allo", "--lambdas", "0.999"],
+     "no grid fraction lies within max observed fraction"),
+])
+def test_bad_user_values_exit_2(run, two_arm_csv, argv, message):
+    code, out, err = run(argv[0], "--input", two_arm_csv, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"survfrac {argv[0]}: error: {message}")
+
+
+def test_program_value_error_is_not_a_user_error(simple_csv, monkeypatch):
+    # exit status 2 is for bad input; a ValueError from the program's own
+    # code, such as a numpy shape mismatch, must surface as itself
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(survfrac.cli, "fraction_means", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(["estimate", "--input", simple_csv])

@@ -200,12 +200,3 @@ def test_band_default_range_excludes_terminal_zero():
     band = ep_band(curve, 0.95)
     assert band.range[1] < curve.times[-1]
     assert np.all(band.lower >= 0)
-
-
-def test_band_edge_lookup():
-    curve = km_curve_of(np.arange(1.0, 21.0), np.ones(20))
-    band = ep_band(curve, 0.95)
-    assert band.upper_at(0.0) == 1.0
-    mid = float(band.times[3])
-    assert band.lower_at(mid) == band.lower[3]
-    assert band.upper_at(mid) == band.upper[3]

@@ -1,9 +1,9 @@
 """The public per-sample functions against their per-sample references.
 
-``fit_km``, ``fraction_means``, ``fraction_mean_bounds`` and ``ep_band`` are
-the one-row case of the study's row kernels; ``helpers`` keeps the
-per-sample code they replaced.  Every result must match its reference bit
-for bit.
+``fit_km``, ``fraction_means``, ``fraction_mean_bounds``, ``ep_band`` and
+``restricted_mean`` are the one-row case of the row kernels that the study
+and the bootstrap run; ``helpers`` keeps the per-sample code they replaced.
+Every result must match its reference bit for bit.
 """
 
 import math
@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
+    _reference_window_masses,
     reference_ep_band,
     reference_fit_km,
     reference_fraction_mean_bounds,
     reference_fraction_means,
+    reference_restricted_mean,
 )
 from survfrac import (
     BandUndefinedError,
@@ -30,8 +32,9 @@ from survfrac import (
     fit_km,
     fraction_mean_bounds,
     fraction_means,
+    restricted_mean,
 )
-from survfrac.fracmean import _DOT_CHUNK
+from survfrac.fracmean import _DOT_CHUNK, _window_masses
 
 CURVE_FIELDS = ("times", "at_risk", "events", "survival", "greenwood")
 
@@ -136,6 +139,64 @@ def test_one_row_functions_match_references_beyond_the_dot_chunk():
     assert len(curve) > _DOT_CHUNK and band.times.size > _DOT_CHUNK
     grid = FractionGrid.from_uppers([0.05, 0.3, 0.5, 0.8, 0.9])
     check_against_references(ds, grid, [None, (float(times.min()), float(times.max()))])
+
+
+@st.composite
+def _curves_with_horizons(draw):
+    """A curve, some longer than one chunk of ``_dot``, and a horizon
+    before its first step, on a step, between steps or after the last."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(_DOT_CHUNK - 2, 2 * _DOT_CHUNK + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.cumsum(rng.exponential(size=m)) + draw(st.sampled_from([0.0, 0.5]))
+    survival = np.cumprod(rng.uniform(0.5, 1.0, size=m))
+    if draw(st.booleans()):
+        survival[-1] = 0.0
+    curve = KmCurve(times=times, at_risk=np.arange(m, 0, -1), events=np.ones(m, dtype=np.int64),
+                    survival=survival, greenwood=np.zeros(m), n=m)
+    j = draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(["before", "on", "between", "after"]))
+    if kind == "before":
+        horizon = times[0] * draw(st.floats(0.01, 1.0, exclude_max=True))
+    elif kind == "on":
+        horizon = times[j]
+    elif kind == "between":
+        horizon = times[j] + draw(st.floats(0.0, 1.0)) * (times[min(j + 1, m - 1)] - times[j])
+    else:
+        horizon = times[-1] * draw(st.floats(1.0, 1e3))
+    assume(horizon > 0)
+    return curve, float(horizon)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_curves_with_horizons())
+def test_restricted_mean_matches_reference(sample):
+    curve, horizon = sample
+    assert_same_bits(restricted_mean(curve, horizon),
+                     reference_restricted_mean(curve, horizon))
+
+
+def test_window_masses_of_mixed_widths_match_each_row_alone():
+    # rows of unsorted, repeated widths, one longer than a chunk of
+    # ``_dot``; the columns past a row's width hold steps that must not count
+    rng = np.random.default_rng(3)
+    width = np.array([5, 1, 9, 5, 0, 9, 2, _DOT_CHUNK + 7, 5, 3])
+    cols = width.max() + 4
+    times = np.cumsum(rng.exponential(size=(width.size, cols)), axis=1)
+    edge = np.cumprod(rng.uniform(0.3, 1.0, size=(width.size, cols)), axis=1)
+    events = rng.integers(1, 4, size=(width.size, cols))
+    grid = FractionGrid.from_uppers([0.1, 0.35, 0.6, 0.9, 1.0])
+    mass, counts = _window_masses(times, edge, width, grid, events)
+    for r, w in enumerate(width.tolist()):
+        alone, alone_counts = _window_masses(times[r:r + 1], edge[r:r + 1], width[r:r + 1],
+                                             grid, events[r:r + 1])
+        assert mass[r].tobytes() == alone[0].tobytes()
+        assert counts[r].tolist() == alone_counts[0].tolist()
+        gammas = grid.gammas
+        for k in range(grid.k):
+            want, overlap = _reference_window_masses(times[r, :w], edge[r, :w],
+                                                     gammas[k], gammas[k + 1])
+            assert mass[r, k].tobytes() == np.float64(want).tobytes()
+            assert counts[r, k] == events[r, :w][overlap > 0.0].sum()
 
 
 def test_one_row_fit_rejects_a_sample_without_events():
