@@ -6,7 +6,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .fracmean import (
     max_observed_fraction,
     truncate_grid,
 )
-from .inference import _check_bootstrap_args, bootstrap_compare
-from .km import BandUndefinedError, _check_level, ep_band, fit_km
+from .inference import bootstrap_compare
+from .km import BandUndefinedError, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
 from .sim import SimConfig, run_study
 
@@ -55,18 +54,6 @@ def _parse_lambdas(text: str) -> FractionGrid:
         return FractionGrid.from_uppers(uppers)
     except ValueError as exc:
         raise DataError(f"bad --lambdas value {text!r}: {exc}") from None
-
-
-@contextmanager
-def _user_values():
-    """Report the ValueError of a check on values the user gave as a
-    :class:`DataError`.  Wrap only such checks: any other ValueError is a
-    fault of the program and must end in a traceback, not exit status 2.
-    """
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
 
 
 def _base_metadata(**extra) -> dict:
@@ -108,9 +95,7 @@ def cmd_estimate(args) -> OutputDocument:
     ds = _load(args)
     curve = fit_km(ds)
     max_frac = max_observed_fraction(curve)
-    with _user_values():
-        grid = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(max_frac)
-        _check_level(args.band_level)
+    grid = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(max_frac)
 
     notes = []
     band = None
@@ -137,6 +122,16 @@ def cmd_estimate(args) -> OutputDocument:
     )
 
 
+def _diff_columns(estimates):
+    return {
+        "diff": [est.point for est in estimates],
+        "ci_lower": [est.ci_lower for est in estimates],
+        "ci_upper": [est.ci_upper for est in estimates],
+        "effective_replicates": [est.effective_replicates for est in estimates],
+        "unreliable": [est.unreliable for est in estimates],
+    }
+
+
 def cmd_compare(args) -> OutputDocument:
     ds = _load(args)
     groups = split_by_group(ds)
@@ -153,9 +148,8 @@ def cmd_compare(args) -> OutputDocument:
 
     curves = {label: fit_km(g) for label, g in ((args.ref_group, g0), (other, g1))}
     common_max = min(max_observed_fraction(c) for c in curves.values())
-    with _user_values():
-        requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
-        grid = truncate_grid(requested, common_max)
+    requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
+    grid = truncate_grid(requested, common_max)
 
     horizon = None
     if args.restricted_mean == "auto":
@@ -165,42 +159,26 @@ def cmd_compare(args) -> OutputDocument:
             horizon = float(args.restricted_mean)
         except ValueError:
             raise DataError(f"bad horizon {args.restricted_mean!r}") from None
-    with _user_values():
-        _check_bootstrap_args(grid, horizon, args.bootstrap, args.level)
 
     result = bootstrap_compare(
         g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
         seed=args.seed, workers=args.workers,
     )
-    fractions = result.fractions
     sections = [
         Section(
             label="fraction_mean_differences",
             columns={
                 "k": list(range(1, grid.k + 1)),
                 "lambda": grid.lambdas[1:],
-                "diff": [est.point for est in fractions],
-                "ci_lower": [est.ci_lower for est in fractions],
-                "ci_upper": [est.ci_upper for est in fractions],
-                "effective_replicates": [est.effective_replicates for est in fractions],
-                "unreliable": [est.unreliable for est in fractions],
+                **_diff_columns(result.fractions),
             },
         )
     ]
-
     if horizon is not None:
-        est = result.restricted
         sections.append(
             Section(
                 label="restricted_mean_difference",
-                columns={
-                    "horizon": [horizon],
-                    "diff": [est.point],
-                    "ci_lower": [est.ci_lower],
-                    "ci_upper": [est.ci_upper],
-                    "effective_replicates": [est.effective_replicates],
-                    "unreliable": [est.unreliable],
-                },
+                columns={"horizon": [horizon], **_diff_columns([result.restricted])},
             )
         )
 
@@ -219,56 +197,60 @@ def cmd_compare(args) -> OutputDocument:
     return OutputDocument(command="compare", metadata=meta, sections=sections)
 
 
+# simulate's settings in config-file and flag order: key -> (type, default,
+# flag help); a default of None leaves the value to SimConfig
+_SIM_SETTINGS = {
+    "n_datasets": (int, 500, None),
+    "n": (int, 200, "sample size per dataset"),
+    "alpha": (float, None, "log-logistic scale"),
+    "beta": (float, None, "log-logistic shape"),
+    "censor_upper": (float, None, "upper end of the uniform censoring range"),
+    "lambdas": (str, None, "comma-separated fraction endpoints"),
+    "band_level": (float, None, None),
+    "seed": (int, None, None),
+}
+
+
 def _read_sim_config(path: str) -> dict:
     values: dict = {}
-    known = {
-        "n_datasets": int,
-        "n": int,
-        "alpha": float,
-        "beta": float,
-        "censor_upper": float,
-        "lambdas": str,
-        "band_level": float,
-        "seed": int,
-    }
-    with open(path, "r", encoding="utf-8") as fh, _user_values():
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, _, val = line.partition(sep)
-                    break
-            else:
-                raise DataError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-            key = key.strip()
-            val = val.strip()
-            if key not in known:
-                raise DataError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = known[key](val)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad value {val!r} for {key}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(str(exc)) from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        for sep in ("=", ":"):
+            if sep in line:
+                key, _, val = line.partition(sep)
+                break
+        else:
+            raise DataError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+        key = key.strip()
+        val = val.strip()
+        if key not in _SIM_SETTINGS:
+            raise DataError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _SIM_SETTINGS[key][0](val)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad value {val!r} for {key}") from None
     return values
 
 
 def cmd_simulate(args) -> OutputDocument:
-    settings = _read_sim_config(args.config) if args.config else {}
-    for key in ("n_datasets", "n", "alpha", "beta", "censor_upper",
-                "band_level", "seed"):
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
-    if args.lambdas is not None:
-        settings["lambdas"] = args.lambdas
-
-    grid_text = settings.pop("lambdas", "0.2,0.4,0.6,0.8,0.95")
-    grid = _parse_lambdas(grid_text) if isinstance(grid_text, str) else grid_text
-    settings.setdefault("n_datasets", 500)
-    settings.setdefault("n", 200)
-    with _user_values():
-        cfg = SimConfig(grid=grid, **settings)
+    settings = {key: default for key, (_, default, _) in _SIM_SETTINGS.items()
+                if default is not None}
+    if args.config:
+        settings.update(_read_sim_config(args.config))
+    settings.update((key, getattr(args, key)) for key in _SIM_SETTINGS
+                    if getattr(args, key) is not None)
+    grid_text = settings.pop("lambdas", None)
+    if grid_text is not None:
+        settings["grid"] = _parse_lambdas(grid_text)
+    cfg = SimConfig(**settings)
+    grid = cfg.grid
 
     summary = run_study(cfg, workers=args.workers)
     columns = {
@@ -323,10 +305,6 @@ def cmd_km_curve(args) -> OutputDocument:
         groups = split_by_group(ds)
     else:
         groups = {None: ds}
-    if args.band_level is not None:
-        with _user_values():
-            _check_level(args.band_level)
-
     notes = []
     sections = []
     for label, sub in groups.items():
@@ -405,16 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="Monte Carlo estimator study")
     sim.add_argument("--config", default=None,
                      help="key-value config file (flags override)")
-    sim.add_argument("--n-datasets", dest="n_datasets", type=int, default=None)
-    sim.add_argument("--n", type=int, default=None, help="sample size per dataset")
-    sim.add_argument("--alpha", type=float, default=None, help="log-logistic scale")
-    sim.add_argument("--beta", type=float, default=None, help="log-logistic shape")
-    sim.add_argument("--censor-upper", dest="censor_upper", type=float,
-                     default=None, help="upper end of the uniform censoring range")
-    sim.add_argument("--lambdas", default=None,
-                     help="comma-separated fraction endpoints")
-    sim.add_argument("--band-level", dest="band_level", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
+    for key, (kind, _, text) in _SIM_SETTINGS.items():
+        sim.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=text)
     sim.add_argument("--workers", type=_worker_count, default=1)
     sim.add_argument("--format", choices=FORMATS, default=None)
     sim.set_defaults(handler=cmd_simulate)

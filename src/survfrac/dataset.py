@@ -23,7 +23,13 @@ __all__ = [
 
 
 class DataError(ValueError):
-    """Base class for ingestion and validation failures."""
+    """A value the caller passed fails a check: bad input data, or a bad
+    grid, level, bootstrap or study setting.
+
+    A ``ValueError`` subclass, so ``except ValueError`` still catches it.
+    The command line reports only ``DataError`` and ``OSError`` with exit
+    status 2; a plain ``ValueError`` is a fault of the program.
+    """
 
 
 class SchemaError(DataError):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DataError
 from .km import BandPair, KmCurve
 
 __all__ = [
@@ -34,13 +36,15 @@ class FractionGrid:
         lams = tuple(float(x) for x in self.lambdas)
         object.__setattr__(self, "lambdas", lams)
         if len(lams) < 2:
-            raise ValueError("grid needs at least one fraction")
+            raise DataError("grid needs at least one fraction")
         if lams[0] != 0.0:
-            raise ValueError(f"grid must start at 0, got {lams[0]}")
+            raise DataError(f"grid must start at 0, got {lams[0]}")
         if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError(f"grid proportions must strictly increase: {lams}")
+            raise DataError(f"grid proportions must strictly increase: {lams}")
         if lams[-1] > 1.0:
-            raise ValueError(f"grid proportions cannot exceed 1: {lams[-1]}")
+            raise DataError(f"grid proportions cannot exceed 1: {lams[-1]}")
+        if any(map(math.isnan, lams)):
+            raise DataError(f"grid proportions cannot be NaN: {lams}")
 
     @classmethod
     def from_uppers(cls, uppers) -> "FractionGrid":
@@ -190,50 +194,53 @@ def _reaches(last, grid: FractionGrid) -> np.ndarray:
 
 def _window_masses(times, edge, width, grid: FractionGrid, events=None):
     """Mass of each fraction's survival window [gamma_k, gamma_{k-1}]
-    under rows of decreasing step functions: ``(mass, counts)``, rows x K.
+    under rows of decreasing step functions: ``(mass, counts)``,
+    ``edge.shape[:-1]`` x K.
 
-    Row ``r`` holds its steps in the first ``w = width[r]`` columns of
-    ``times`` and ``edge``, with the leading value 1 implied.  Each mass is
-    ``_dot(times[r, :w], overlap[r, :w])``: stacked rows of one width go
-    through the same BLAS dot as a single row, so a row's masses do not
-    depend on the rows evaluated with it.  With ``events`` given,
-    ``counts`` holds the events at the steps of positive overlap (a step
-    straddling a window edge counts in both fractions), else None.
+    ``edge`` is ``edge[..., rows, cols]``, a stack of step functions over
+    the same rows: row ``r`` holds its steps in the first ``w = width[r]``
+    columns of ``times`` and of each edge, with the leading value 1
+    implied.  Each mass is ``_dot(times[r, :w], overlap[..., r, :w])``:
+    stacked rows of one width go through the same BLAS dot as a single
+    row, so a row's masses do not depend on the rows evaluated with it.
+    With ``events`` given, ``counts`` holds the events at the steps of
+    positive overlap (a step straddling a window edge counts in both
+    fractions), else None.
     """
     width = np.asarray(width)
     order = None
     if np.any(width[1:] < width[:-1]):
         # rows of one width become a contiguous run
         order = np.argsort(width, kind="stable")
-        times, edge, width = times[order], edge[order], width[order]
+        times, edge, width = times[order], edge[..., order, :], width[order]
         if events is not None:
             events = events[order]
     firsts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()
     runs = list(zip(firsts, firsts[1:] + [width.size], width[firsts].tolist()))
-    mass = np.empty((width.size, grid.k))
+    mass = np.empty(edge.shape[:-1] + (grid.k,))
     counts = None
     if events is not None:
-        events = np.where(np.arange(edge.shape[1]) < width[:, None], events, 0)
-        counts = np.empty((width.size, grid.k), dtype=events.dtype)
+        events = np.where(np.arange(edge.shape[-1]) < width[:, None], events, 0)
+        counts = np.empty(mass.shape, dtype=events.dtype)
     overlap = np.empty_like(edge)
     floor = np.empty_like(edge)
     gammas = grid.gammas
     for j in range(grid.k):
         # each step spans (edge, previous edge], the first step (edge, 1]
-        overlap[:, 0] = gammas[j]
-        np.minimum(edge[:, :-1], gammas[j], out=overlap[:, 1:])
+        overlap[..., 0] = gammas[j]
+        np.minimum(edge[..., :-1], gammas[j], out=overlap[..., 1:])
         np.maximum(edge, gammas[j + 1], out=floor)
         overlap -= floor
         np.maximum(overlap, 0.0, out=overlap)
         for a, b, w in runs:
-            mass[a:b, j] = _dot(times[a:b, :w], overlap[a:b, :w])
+            mass[..., a:b, j] = _dot(times[a:b, :w], overlap[..., a:b, :w])
         if counts is not None:
-            np.sum(events, axis=1, where=overlap > 0.0, out=counts[:, j])
+            np.sum(events, axis=-1, where=overlap > 0.0, out=counts[..., j])
     if order is not None:
         back = np.argsort(order)
-        mass = mass[back]
+        mass = mass[..., back, :]
         if counts is not None:
-            counts = counts[back]
+            counts = counts[..., back, :]
     return mass, counts
 
 
@@ -254,12 +261,11 @@ def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid
 
     Rows without a band get ``(nan, inf)``, as the study reports them.
     """
-    lower_edge = np.minimum.accumulate(lower, axis=1)
-    upper_edge = np.minimum.accumulate(upper, axis=1)
-    last = upper_edge[np.arange(width.size), width - 1]
+    edges = np.stack((lower, upper))
+    np.minimum.accumulate(edges, axis=2, out=edges)
+    last = edges[1, np.arange(width.size), width - 1]
     reaches = defined[:, None] & _reaches(last, grid)
-    lo_mass, _ = _window_masses(times, lower_edge, width, grid)
-    up_mass, _ = _window_masses(times, upper_edge, width, grid)
+    (lo_mass, up_mass), _ = _window_masses(times, edges, width, grid)
     return (np.where(defined[:, None], lo_mass, np.nan),
             np.where(reaches, up_mass, np.inf))
 
@@ -283,7 +289,7 @@ def truncate_grid(grid: FractionGrid, max_fraction: float) -> FractionGrid:
     """
     kept = tuple(lam for lam in grid.lambdas if lam <= max_fraction + _GRID_TOL)
     if len(kept) < 2:
-        raise ValueError(
+        raise DataError(
             f"no grid fraction lies within max observed fraction {max_fraction:.6g}"
         )
     return FractionGrid(kept)
@@ -293,7 +299,7 @@ def decile_grid(max_fraction: float) -> FractionGrid:
     """Deciles {0.1, 0.2, ...} up to ``max_fraction`` (at most 1.0)."""
     uppers = [k / 10 for k in range(1, 11) if k / 10 <= max_fraction + _GRID_TOL]
     if not uppers:
-        raise ValueError(
+        raise DataError(
             f"max observed fraction {max_fraction:.6g} is below the first decile; "
             "supply explicit proportions"
         )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .engine import _BLOCK_CELLS, _map_blocks
 from .fracmean import (
     FractionGrid,
@@ -212,12 +212,12 @@ def _estimate(point: float, col: np.ndarray, B: int, level: float,
 def _check_bootstrap_args(grid, horizon, B: int, level: float) -> None:
     """The argument checks of :func:`bootstrap_compare`."""
     if B < 100:
-        raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
+        raise DataError(f"need at least 100 bootstrap replicates, got {B}")
     _check_level(level)
     if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+        raise DataError(f"horizon must be finite and positive, got {horizon}")
     if grid is None and horizon is None:
-        raise ValueError("nothing to compare: give a grid, a horizon or both")
+        raise DataError("nothing to compare: give a grid, a horizon or both")
 
 
 def bootstrap_compare(

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, EmptyEventsError
+from .dataset import DataError, Dataset, EmptyEventsError
 
 __all__ = [
     "KmCurve",
@@ -231,7 +231,7 @@ _EP_TOL = 1e-6  # absolute tolerance of the critical-value bisection
 def _check_level(level: float) -> None:
     """Reject a confidence level outside (0, 1), NaN included."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise DataError(f"level must be in (0, 1), got {level}")
 
 
 def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:

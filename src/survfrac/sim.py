@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .engine import _BLOCK_CELLS, _map_blocks
 from .fracmean import FractionGrid, _fraction_bound_rows, _fraction_mean_rows
 from .km import _band_rows, _fit_rows, _range_widths
@@ -34,7 +34,7 @@ def loglogistic_quantile(alpha: float, beta: float, p: float) -> float:
 
 def _check_mean_exists(beta: float, grid: FractionGrid) -> None:
     if grid.lambdas[-1] >= 1.0 and beta <= 1.0:
-        raise ValueError(
+        raise DataError(
             f"mean diverges for shape beta={beta} <= 1 with the grid reaching 1")
 
 
@@ -85,13 +85,16 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_datasets < 1:
-            raise ValueError("n_datasets must be >= 1")
+            raise DataError("n_datasets must be >= 1")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.alpha <= 0 or self.beta <= 0 or self.censor_upper <= 0:
-            raise ValueError("alpha, beta and censor_upper must be positive")
+            raise DataError("n must be >= 2")
+        params = (self.alpha, self.beta, self.censor_upper)
+        if any(value <= 0 for value in params):
+            raise DataError("alpha, beta and censor_upper must be positive")
+        if not all(map(math.isfinite, params)):
+            raise DataError("alpha, beta and censor_upper must be finite")
         if not 0.0 < self.band_level < 1.0:
-            raise ValueError("band_level must be in (0, 1)")
+            raise DataError("band_level must be in (0, 1)")
         # checked here, so a design without a truth fails before the study
         _check_mean_exists(self.beta, self.grid)
 

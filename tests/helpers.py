@@ -281,7 +281,7 @@ def reference_ep_band(curve, level, range=None):
     operations; each undefined case raises as soon as it is found.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise DataError(f"level must be in (0, 1), got {level}")
     if len(curve) == 0:
         raise BandUndefinedError("curve has no steps")
 

@@ -498,6 +498,23 @@ def test_divergent_design_fails_before_the_study(run, monkeypatch):
     assert spans == []
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan"), ("--censor-upper", "nan"),
+])
+def test_non_finite_design_fails_before_the_study(run, monkeypatch, flag, value):
+    import survfrac.sim
+
+    spans = []
+    monkeypatch.setattr(survfrac.sim, "_map_blocks",
+                        lambda *args: spans.append(args) or [])
+    code, out, err = run("simulate", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == ("survfrac simulate: error: alpha, beta and censor_upper "
+                   "must be finite\n")
+    assert spans == []
+
+
 def test_oversized_cell_exit_2_with_row_number(run, tmp_path):
     # the csv module refuses a cell over its field size limit, even in a
     # column the command does not read
@@ -519,6 +536,15 @@ def test_non_utf8_input_exit_2(run, tmp_path):
     assert err.startswith("survfrac estimate: error: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_non_utf8_config_exit_2(run, tmp_path):
+    p = tmp_path / "latin1.conf"
+    p.write_bytes("n = 20\nalpha = 1.0  # café\n".encode("latin-1"))
+    code, out, err = run("simulate", "--config", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("survfrac simulate: error: 'utf-8' codec can't decode byte 0xe9")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
     (["km-curve", "--band-level", "0"], "level must be in (0, 1), got 0.0"),
@@ -528,6 +554,10 @@ def test_non_utf8_input_exit_2(run, tmp_path):
      "level must be in (0, 1), got nan"),
     (["compare", "--group-col", "arm", "--ref-group", "allo", "--lambdas", "0.999"],
      "no grid fraction lies within max observed fraction"),
+    (["estimate", "--lambdas", "0.5,nan"],
+     "bad --lambdas value '0.5,nan': grid proportions cannot be NaN: (0.0, 0.5, nan)"),
+    (["compare", "--group-col", "arm", "--ref-group", "allo", "--lambdas", "nan"],
+     "bad --lambdas value 'nan': grid proportions cannot be NaN: (0.0, nan)"),
 ])
 def test_bad_user_values_exit_2(run, two_arm_csv, argv, message):
     code, out, err = run(argv[0], "--input", two_arm_csv, *argv[1:])
