@@ -49,11 +49,14 @@ def _worker_count(text: str) -> int:
 
 
 def _parse_lambdas(text: str) -> FractionGrid:
+    """Comma-separated fraction endpoints as a grid: the type of every
+    command's --lambdas and of simulate's lambdas setting."""
     try:
         uppers = [float(tok) for tok in text.split(",") if tok.strip() != ""]
         return FractionGrid.from_uppers(uppers)
     except ValueError as exc:
-        raise DataError(f"bad --lambdas value {text!r}: {exc}") from None
+        # argparse prints this text; a plain ValueError would lose it
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _base_metadata(**extra) -> dict:
@@ -95,7 +98,7 @@ def cmd_estimate(args) -> OutputDocument:
     ds = _load(args)
     curve = fit_km(ds)
     max_frac = max_observed_fraction(curve)
-    grid = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(max_frac)
+    grid = args.lambdas if args.lambdas is not None else decile_grid(max_frac)
 
     notes = []
     band = None
@@ -146,14 +149,14 @@ def cmd_compare(args) -> OutputDocument:
     (other,) = [g for g in groups if g != args.ref_group]
     g0, g1 = groups[args.ref_group], groups[other]
 
-    curves = {label: fit_km(g) for label, g in ((args.ref_group, g0), (other, g1))}
-    common_max = min(max_observed_fraction(c) for c in curves.values())
-    requested = _parse_lambdas(args.lambdas) if args.lambdas else decile_grid(common_max)
+    curves = fit_km(g0), fit_km(g1)
+    common_max = min(max_observed_fraction(c) for c in curves)
+    requested = args.lambdas if args.lambdas is not None else decile_grid(common_max)
     grid = truncate_grid(requested, common_max)
 
     horizon = None
     if args.restricted_mean == "auto":
-        horizon = min(float(c.times[-1]) for c in curves.values())
+        horizon = min(float(c.times[-1]) for c in curves)
     elif args.restricted_mean is not None:
         try:
             horizon = float(args.restricted_mean)
@@ -162,7 +165,7 @@ def cmd_compare(args) -> OutputDocument:
 
     result = bootstrap_compare(
         g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
-        seed=args.seed, workers=args.workers,
+        seed=args.seed, workers=args.workers, curves=curves,
     )
     sections = [
         Section(
@@ -205,7 +208,7 @@ _SIM_SETTINGS = {
     "alpha": (float, None, "log-logistic scale"),
     "beta": (float, None, "log-logistic shape"),
     "censor_upper": (float, None, "upper end of the uniform censoring range"),
-    "lambdas": (str, None, "comma-separated fraction endpoints"),
+    "lambdas": (_parse_lambdas, None, "comma-separated fraction endpoints"),
     "band_level": (float, None, None),
     "seed": (int, None, None),
 }
@@ -234,8 +237,9 @@ def _read_sim_config(path: str) -> dict:
             raise DataError(f"{path}:{line_no}: unknown key {key!r}")
         try:
             values[key] = _SIM_SETTINGS[key][0](val)
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: bad value {val!r} for {key}") from None
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DataError(
+                f"{path}:{line_no}: bad value {val!r} for {key}: {exc}") from None
     return values
 
 
@@ -246,9 +250,8 @@ def cmd_simulate(args) -> OutputDocument:
         settings.update(_read_sim_config(args.config))
     settings.update((key, getattr(args, key)) for key in _SIM_SETTINGS
                     if getattr(args, key) is not None)
-    grid_text = settings.pop("lambdas", None)
-    if grid_text is not None:
-        settings["grid"] = _parse_lambdas(grid_text)
+    if "lambdas" in settings:
+        settings["grid"] = settings.pop("lambdas")
     cfg = SimConfig(**settings)
     grid = cfg.grid
 
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = commands.add_parser("estimate", help="per-fraction mean survival")
     _add_io_flags(est)
-    est.add_argument("--lambdas", default=None,
+    est.add_argument("--lambdas", type=_parse_lambdas, default=None,
                      help="comma-separated fraction endpoints "
                           "(default: deciles up to the max observed fraction)")
     est.add_argument("--band-level", type=float, default=0.95,
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--group-col", required=True, help="group column name")
     cmp_.add_argument("--ref-group", required=True,
                       help="reference group label (differences are other - ref)")
-    cmp_.add_argument("--lambdas", default=None,
+    cmp_.add_argument("--lambdas", type=_parse_lambdas, default=None,
                       help="comma-separated fraction endpoints (default: deciles "
                            "up to the common max observed fraction)")
     cmp_.add_argument("--bootstrap", type=int, default=2000, metavar="B",

@@ -27,7 +27,7 @@ from .fracmean import (
     fraction_means,
     restricted_mean,
 )
-from .km import _check_level, _km_rows, fit_km
+from .km import KmCurve, _check_level, _km_rows, fit_km
 
 __all__ = [
     "DiffEstimate",
@@ -230,6 +230,8 @@ def bootstrap_compare(
     seed: int = 0,
     workers: int = 1,
     floor_share: float = 0.5,
+    *,
+    curves: tuple[KmCurve, KmCurve] | None = None,
 ) -> BootstrapComparison:
     """Bootstrap mu_bar(g1) - mu_bar(g0) per fraction and, at ``horizon``,
     the restricted-mean difference, in one pass over the replicates.
@@ -241,12 +243,13 @@ def bootstrap_compare(
     estimates come from the original samples.  The caller is expected to
     have truncated ``grid`` to the fractions both groups support (see
     :func:`survfrac.fracmean.truncate_grid`).  Pass ``grid=None`` to
-    compare restricted means only.
+    compare restricted means only.  ``curves`` may pass the groups' fitted
+    curves, ``(fit_km(g0), fit_km(g1))``, when the caller has them already.
 
     Deterministic given (inputs, B, level, seed), for any ``workers``.
     """
     _check_bootstrap_args(grid, horizon, B, level)
-    c0, c1 = fit_km(g0), fit_km(g1)
+    c0, c1 = curves if curves is not None else (fit_km(g0), fit_km(g1))
     points: list[float] = []
     if grid is not None:
         fm0 = fraction_means(c0, grid)

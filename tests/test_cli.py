@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import survfrac
-from survfrac import FractionGrid, bootstrap_fraction_diff, parse_csv, split_by_group
+from survfrac import (
+    FractionGrid,
+    bootstrap_fraction_diff,
+    fit_km,
+    parse_csv,
+    split_by_group,
+)
 from survfrac.cli import main
 
 
@@ -433,13 +439,18 @@ def test_empty_group_column_name_exit_2(run, two_arm_csv, command):
                    "['time', 'status', 'arm']\n")
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy serves only the simulation truth; the CLI must start without it
+def test_simulate_runs_without_scipy():
+    # scipy is a test dependency only; a None entry makes its import fail
     src = Path(survfrac.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, survfrac.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    code = ("import sys; sys.modules['scipy'] = None; from survfrac.cli import main; "
+            "sys.exit(main(['simulate', '--n-datasets', '3', '--n', '20', "
+            "'--format', 'csv']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("k,lambda,true_mu,")
 
 
 def test_output_same_for_any_blas_thread_count(tmp_path):
@@ -554,10 +565,6 @@ def test_non_utf8_config_exit_2(run, tmp_path):
      "level must be in (0, 1), got nan"),
     (["compare", "--group-col", "arm", "--ref-group", "allo", "--lambdas", "0.999"],
      "no grid fraction lies within max observed fraction"),
-    (["estimate", "--lambdas", "0.5,nan"],
-     "bad --lambdas value '0.5,nan': grid proportions cannot be NaN: (0.0, 0.5, nan)"),
-    (["compare", "--group-col", "arm", "--ref-group", "allo", "--lambdas", "nan"],
-     "bad --lambdas value 'nan': grid proportions cannot be NaN: (0.0, nan)"),
 ])
 def test_bad_user_values_exit_2(run, two_arm_csv, argv, message):
     code, out, err = run(argv[0], "--input", two_arm_csv, *argv[1:])
@@ -575,3 +582,76 @@ def test_program_value_error_is_not_a_user_error(simple_csv, monkeypatch):
     monkeypatch.setattr(survfrac.cli, "fraction_means", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         main(["estimate", "--input", simple_csv])
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("estimate", ["--input", "{csv}"]),
+    ("compare", ["--input", "{csv}", "--group-col", "arm", "--ref-group", "allo"]),
+    ("simulate", ["--n-datasets", "3", "--n", "20"]),
+])
+@pytest.mark.parametrize("value, message", [
+    ("", "grid needs at least one fraction"),
+    ("0.5,nan", "grid proportions cannot be NaN: (0.0, 0.5, nan)"),
+    ("0.5,x", "could not convert string to float: 'x'"),
+])
+def test_bad_lambdas_flag_is_a_usage_error(capsys, two_arm_csv, command, argv,
+                                           value, message):
+    # every command reads --lambdas with one parser, so "" never falls back
+    # to the decile grid
+    argv = [arg.format(csv=two_arm_csv) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--lambdas", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"survfrac {command}: error: argument --lambdas: {message}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambdas = 0.5,0.4",
+     "bad value '0.5,0.4' for lambdas: grid proportions must strictly increase: "
+     "(0.0, 0.5, 0.4)"),
+    ("lambdas =", "bad value '' for lambdas: grid needs at least one fraction"),
+    ("n = ten", "bad value 'ten' for n: invalid literal for int() with base 10: 'ten'"),
+])
+def test_bad_config_value_names_path_and_line(run, tmp_path, line, message):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"n_datasets = 3\n{line}\n")
+    code, out, err = run("simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"survfrac simulate: error: {cfg}:2: {message}\n"
+
+
+def test_truth_overflow_fails_before_the_study(run, monkeypatch):
+    # (p / (1 - p))**100 overflows on (0.5, 0.9999]: a user error, found
+    # before any sample is drawn, and no numpy warning reaches stderr
+    import survfrac.sim
+
+    spans = []
+    monkeypatch.setattr(survfrac.sim, "_map_blocks",
+                        lambda *args: spans.append(args) or [])
+    code, out, err = run("simulate", "--beta", "0.01", "--lambdas", "0.5,0.9999",
+                         "--n-datasets", "3", "--n", "20")
+    assert code == 2
+    assert out == ""
+    assert err == ("survfrac simulate: error: true mean of fraction 2 (0.5, 0.9999] "
+                   "is not finite for alpha=1.0, beta=0.01\n")
+    assert spans == []
+
+
+def test_compare_fits_each_group_once(run, two_arm_csv, monkeypatch):
+    import survfrac.inference
+
+    calls = []
+
+    def counted(ds):
+        calls.append(len(ds))
+        return fit_km(ds)
+
+    monkeypatch.setattr(survfrac.cli, "fit_km", counted)
+    monkeypatch.setattr(survfrac.inference, "fit_km", counted)
+    code, _, _ = run("compare", "--input", two_arm_csv, "--group-col", "arm",
+                     "--ref-group", "allo", "--bootstrap", "100",
+                     "--restricted-mean", "--format", "json")
+    assert code == 0
+    assert calls == [24, 24]

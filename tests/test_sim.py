@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from survfrac import (
     FractionGrid,
@@ -26,6 +28,27 @@ def closed_form_fraction_means(alpha, beta, grid):
         for p in grid.lambdas
     ]
     return [b - a for a, b in zip(prim, prim[1:])]
+
+
+def scipy_fraction_mean(beta, a, b):
+    """Integral of (p / (1 - p))**(1/beta) over [a, b] by scipy's quad.
+
+    A panel ending at 1 takes (1 - p)**-s as an algebraic weight.  Any
+    other panel is integrated in p below 1/2 and in q = 1 - p above, so
+    that the distance to the near singularity is an exact float.
+    """
+    s = 1.0 / beta
+    if b == 1.0:
+        return integrate.quad(lambda p: p**s, a, 1, weight="alg", wvar=(0, -s),
+                              epsabs=0, epsrel=1e-13)[0]
+    total = 0.0
+    if a < 0.5:
+        total += integrate.quad(lambda p: (p / (1 - p))**s, a, min(b, 0.5),
+                                epsabs=0, epsrel=1e-13)[0]
+    if b > 0.5:
+        total += integrate.quad(lambda q: ((1 - q) / q)**s, 1 - b, 1 - max(a, 0.5),
+                                epsabs=0, epsrel=1e-13)[0]
+    return total
 
 
 class TestLoglogisticQuantile:
@@ -82,6 +105,27 @@ class TestTrueFractionMeans:
         # integral of p/(1-p) over (0, 0.5] is ln 2 - 1/2
         vals = true_fraction_means(1, 1, FractionGrid((0.0, 0.5)))
         assert vals[0] == pytest.approx(math.log(2) - 0.5, abs=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    beta=st.floats(0.3, 20.0),
+    edges=st.lists(st.one_of(st.floats(1e-3, 0.999), st.sampled_from([1e-6, 0.9999])),
+                   min_size=1, max_size=5, unique=True),
+    to_one=st.booleans(),
+)
+# the panels [0.95, 1] at beta = 1.3 and [0.9999, 1] at beta = 9 lose digits
+# to a rule cut off at the singularity and to cancellation respectively
+@example(beta=1.3, edges=[0.95], to_one=True)
+@example(beta=1.05, edges=[1e-6, 0.9999], to_one=True)
+@example(beta=9.0, edges=[0.9999], to_one=True)
+@example(beta=1.0, edges=[1e-6, 0.5, 0.9999], to_one=False)
+def test_true_fraction_means_match_scipy_quad(beta, edges, to_one):
+    uppers = sorted(edges) + ([1.0] if to_one and beta > 1.0 else [])
+    grid = FractionGrid.from_uppers(uppers)
+    got = true_fraction_means(1.0, beta, grid)
+    for (a, b), value in zip(zip(grid.lambdas, grid.lambdas[1:]), got):
+        assert value == pytest.approx(scipy_fraction_mean(beta, a, b), rel=1e-12, abs=0)
 
 
 class TestGenerateReplicate:

@@ -87,6 +87,10 @@ DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
      "band_level must be in (0, 1)"),
     (lambda: SimConfig(n_datasets=1, n=10, beta=0.9, grid=DIVERGENT),
      "mean diverges for shape beta=0.9 <= 1 with the grid reaching 1"),
+    (lambda: true_fraction_means(1.0, 0.01, FractionGrid.from_uppers([0.5, 0.9999])),
+     "true mean of fraction 2 (0.5, 0.9999] is not finite for alpha=1.0, beta=0.01"),
+    (lambda: true_fraction_means(1e308, 1.5, FractionGrid.from_uppers([1.0])),
+     "true mean of fraction 1 (0.0, 1.0] is not finite for alpha=1e+308, beta=1.5"),
 ])
 def test_checks_on_caller_values_raise_data_error(check, message):
     with pytest.raises(DataError) as info:
