@@ -66,7 +66,8 @@ class Dataset:
     groups: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=float)
+        # + 0.0 turns -0.0 into 0.0, so every tie holds identical bits
+        times = np.ascontiguousarray(self.times, dtype=float) + 0.0
         status = np.ascontiguousarray(self.status, dtype=np.int64)
         times.flags.writeable = False
         status.flags.writeable = False

@@ -10,8 +10,6 @@ where.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 # Cells (replicate rows x draws per row) evaluated at once.  Bounds the
 # engines' working arrays to a few MiB whatever the replicate count is.
 _BLOCK_CELLS = 1 << 16
@@ -31,5 +29,8 @@ def _map_blocks(work, total: int, block: int, workers: int) -> list:
     workers = min(workers, len(spans))
     if workers <= 1:
         return [work(span) for span in spans]
+    # imported here, so that a command without a pool never loads it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, spans))

@@ -9,7 +9,6 @@ statistic of a replicate comes from that one pass.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -70,6 +69,8 @@ def _group_digest(ds: Dataset) -> int:
     two groups negate every replicate difference exactly, and makes
     identical groups produce identical resamples.
     """
+    import hashlib  # here, so that only compare loads it
+
     h = hashlib.blake2b(digest_size=8)
     h.update(ds.times.tobytes())
     h.update(ds.status.tobytes())

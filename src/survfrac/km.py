@@ -82,7 +82,8 @@ def _km_rows(tot: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     tot = np.asarray(tot, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
-    at_risk = tot.sum(axis=1, keepdims=True) - np.cumsum(tot, axis=1) + tot
+    # the count at or after each time, summed from the row's end
+    at_risk = np.cumsum(tot[:, ::-1], axis=1)[:, ::-1]
     censored = tot > ev
     starts = np.ones(tot.shape, dtype=bool)
     starts[:, 1:] = censored[:, :-1]
@@ -118,38 +119,48 @@ def _fit_rows(times: np.ndarray, status: np.ndarray) -> _CurveRows:
     """Row form of :func:`fit_km`: one curve per row of ``(times, status)``.
 
     Each row is sorted and its tied times merged into count columns,
-    events first; one :func:`_km_rows` call then serves every row.
-    ``fit_km`` is the one-row case.
+    events first; one :func:`_km_rows` call then serves every row.  The
+    order inside a tie does not matter, since a tie becomes one column; a
+    block without ties (continuous draws) skips the merge.  ``fit_km`` is
+    the one-row case.
     """
     rows, n = times.shape
     if not np.all(np.any(status, axis=1)):
         raise EmptyEventsError("cannot fit a curve to a sample with no events")
 
-    order = np.argsort(times, axis=1, kind="stable")
-    t = np.take_along_axis(times, order, axis=1)
-    event = np.take_along_axis(status, order, axis=1) == 1
+    # flat indices of each row's columns, for gathers along rows
+    base = n * np.arange(rows)[:, None]
+    sort = np.argsort(times, axis=1) + base
+    t = times.ravel()[sort]
+    event = status.ravel()[sort] == 1
     first = np.ones((rows, n), dtype=bool)
     first[:, 1:] = t[:, 1:] != t[:, :-1]
-    cells = (np.cumsum(first, axis=1) - 1 + n * np.arange(rows)[:, None]).ravel()
-    tot = np.bincount(cells, minlength=rows * n).reshape(rows, n)
-    ev = np.bincount(cells[event.ravel()], minlength=rows * n).reshape(rows, n)
-    utimes = np.zeros(rows * n)
-    utimes[cells[first.ravel()]] = t[first]
+    if first.all():
+        tot, ev, utimes = np.ones((rows, n), dtype=np.int64), event.astype(np.int64), t
+    else:
+        cells = (np.cumsum(first, axis=1) - 1 + base).ravel()
+        tot = np.bincount(cells, minlength=rows * n).reshape(rows, n)
+        ev = np.bincount(cells[event.ravel()], minlength=rows * n).reshape(rows, n)
+        utimes = np.zeros((rows, n))
+        utimes.ravel()[cells[first.ravel()]] = t[first]
     at_risk, survival = _km_rows(tot, ev)
 
-    # stable-sort each row's event columns to its front
+    # each row's event columns to its front, in column order: the keys are
+    # distinct, so one sort orders them, and the narrowest type sorts fastest
     has_event = ev > 0
     steps = has_event.sum(axis=1)
-    pick = np.argsort(~has_event, axis=1, kind="stable")[:, : steps.max()]
-    n_at = np.take_along_axis(at_risk, pick, axis=1)
-    d = np.take_along_axis(ev, pick, axis=1)
+    key_type = np.min_scalar_type(2 * n - 1).type
+    keys = np.arange(n, dtype=key_type) + key_type(n) * ~has_event
+    pick = np.sort(keys, axis=1)[:, : steps.max()] % key_type(n) + base
+    n_at = at_risk.ravel()[pick]
+    d = ev.ravel()[pick]
     with np.errstate(divide="ignore", invalid="ignore"):
         gw_terms = np.where(n_at > d, d / (n_at * (n_at - d)), np.inf)
     return _CurveRows(
-        times=np.take_along_axis(utimes.reshape(rows, n), pick, axis=1),
+        times=utimes.ravel()[pick],
         at_risk=n_at,
         events=d,
-        survival=np.take_along_axis(survival, pick, axis=1),
+        survival=survival.ravel()[pick],
         greenwood=np.cumsum(gw_terms, axis=1),
         steps=steps,
         n=n,
@@ -226,12 +237,79 @@ class BandPair:
 
 
 _EP_TOL = 1e-6  # absolute tolerance of the critical-value bisection
+# np.exp may differ from math.exp in the last bit.  A crossing value within
+# this share of alpha is recomputed with math.exp, so every bracket and
+# bisection decision is the one the scalar solve makes.
+_EXP_GUARD = 1e-12
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _check_level(level: float) -> None:
     """Reject a confidence level outside (0, 1), NaN included."""
     if not 0.0 < level < 1.0:
         raise DataError(f"level must be in (0, 1), got {level}")
+
+
+def _crossing(x, log_ratio, exp):
+    """The boundary-crossing probability at ``x``, with ``exp`` for e**."""
+    return exp(-0.5 * x * x) / _SQRT_2PI * ((x - 1.0 / x) * log_ratio + 4.0 / x)
+
+
+def _above(x: np.ndarray, log_ratio: np.ndarray, alpha: float) -> np.ndarray:
+    """``crossing(x) > alpha`` per element, decided as with ``math.exp``."""
+    value = _crossing(x, log_ratio, np.exp)
+    above = value > alpha
+    for i in np.flatnonzero(np.abs(value - alpha) <= _EXP_GUARD * alpha).tolist():
+        above[i] = _crossing(float(x[i]), float(log_ratio[i]), math.exp) > alpha
+    return above
+
+
+def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
+    """Row form of :func:`ep_critical_value`: e_alpha for each pair
+    ``(a_lower[r], a_upper[r])``, NaN where the pair lies outside
+    0 < a_L < a_U < 1 or no bracket closes below 1e3.
+
+    Every row runs the scalar bracket and bisection, all rows at once; a
+    row that has stopped is carried along unchanged.
+    """
+    alpha = 1.0 - level
+    a_lower = np.asarray(a_lower, dtype=float)
+    a_upper = np.asarray(a_upper, dtype=float)
+    coeff = np.full(a_lower.shape, np.nan)
+    rows = np.flatnonzero((0.0 < a_lower) & (a_lower < a_upper) & (a_upper < 1.0))
+    a_lo, a_hi = a_lower[rows], a_upper[rows]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = a_hi * (1.0 - a_lo) / (a_lo * (1.0 - a_hi))
+    log_ratio = np.array([math.log(v) for v in ratio.tolist()])
+    # an infinite log ratio (a_L (1 - a_U) below the float range) puts the
+    # crossing above alpha at every x, so no bracket closes
+    finite = np.isfinite(log_ratio)
+    rows, log_ratio = rows[finite], log_ratio[finite]
+
+    lo, hi = np.ones(rows.size), np.full(rows.size, 2.0)
+    growing = np.ones(rows.size, dtype=bool)
+    while growing.any():
+        growing &= _above(hi, log_ratio, alpha)
+        hi[growing] *= 2.0
+        growing &= hi <= 1e3
+    bracketed = hi <= 1e3
+
+    active = bracketed & (hi - lo > _EP_TOL)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        up = _above(mid, log_ratio, alpha)
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        active &= hi - lo > _EP_TOL
+    coeff[rows[bracketed]] = (0.5 * (lo + hi))[bracketed]
+    return coeff
+
+
+def _unsolved(a_lower, a_upper) -> str:
+    """Why :func:`_critical_rows` gives no value for the pair."""
+    if not 0.0 < a_lower < a_upper < 1.0:
+        return f"band requires 0 < a_L < a_U < 1, got ({a_lower}, {a_upper})"
+    return "critical value solve failed to bracket"
 
 
 def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
@@ -241,33 +319,15 @@ def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
 
         alpha = phi(e) * [ (e - 1/e) * log(a_U (1-a_L) / (a_L (1-a_U))) + 4/e ]
 
-    for e by bisection to absolute tolerance ``_EP_TOL``.  Isolated here so
-    a tabulated coefficient can be substituted if preferred.
+    for e by bisection to absolute tolerance ``_EP_TOL``.  This is the
+    one-row case of :func:`_critical_rows`, which every band calls; a
+    tabulated coefficient can be substituted there if preferred.
     """
     _check_level(level)
-    if not 0.0 < a_lower < a_upper < 1.0:
-        raise BandUndefinedError(
-            f"band requires 0 < a_L < a_U < 1, got ({a_lower}, {a_upper})"
-        )
-    alpha = 1.0 - level
-    log_ratio = math.log(a_upper * (1.0 - a_lower) / (a_lower * (1.0 - a_upper)))
-
-    def crossing(x: float) -> float:
-        dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return dens * ((x - 1.0 / x) * log_ratio + 4.0 / x)
-
-    lo, hi = 1.0, 2.0
-    while crossing(hi) > alpha:
-        hi *= 2.0
-        if hi > 1e3:
-            raise BandUndefinedError("critical value solve failed to bracket")
-    while hi - lo > _EP_TOL:
-        mid = 0.5 * (lo + hi)
-        if crossing(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    coeff = float(_critical_rows([a_lower], [a_upper], level)[0])
+    if math.isnan(coeff):
+        raise BandUndefinedError(_unsolved(a_lower, a_upper))
+    return coeff
 
 
 def ep_band(
@@ -338,21 +398,20 @@ def _band_rows(survival, greenwood, n: int, width, level: float):
         a_vals = n * greenwood / (1.0 + n * greenwood)
     a_lo, a_hi = a_vals[:, 0], a_vals[np.arange(rows), width - 1]
     coeff = np.full(rows, np.nan)
+    solve = (width > 0) & ~at_zero & (a_lo < a_hi)
+    coeff[solve] = _critical_rows(a_lo[solve], a_hi[solve], level)
     reasons = [None] * rows
-    for r, (w, zero, lo, hi) in enumerate(
-            zip(width.tolist(), at_zero.tolist(), a_lo.tolist(), a_hi.tolist())):
-        if w == 0:
+    for r in np.flatnonzero(np.isnan(coeff)).tolist():
+        lo, hi = float(a_lo[r]), float(a_hi[r])
+        if width[r] == 0:
             reasons[r] = (f"no step has positive survival with at least "
                           f"{MIN_RISK_SHARE:.0%} of the sample at risk")
-        elif zero:
+        elif at_zero[r]:
             reasons[r] = "band range includes times where survival is 0"
         elif not lo < hi:
             reasons[r] = f"degenerate range: a(t_L) = a(t_U) = {lo:.6g}"
         else:
-            try:
-                coeff[r] = ep_critical_value(lo, hi, level)
-            except BandUndefinedError as exc:
-                reasons[r] = str(exc)
+            reasons[r] = _unsolved(lo, hi)
     with np.errstate(invalid="ignore"):
         half_width = coeff[:, None] * survival * np.sqrt(greenwood)
     return (coeff, np.clip(survival - half_width, 0.0, 1.0),

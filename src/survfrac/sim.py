@@ -166,7 +166,10 @@ def _draw_rows(cfg: SimConfig, start: int, stop: int):
         bitgen.state = fresh
         rng.random(out=u[i])
     u_event, u_censor = u[:, :n], u[:, n:]
-    t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
+    # a small beta sends some event times past the float range; inf is the
+    # right value there, since such a time is later than every censoring
+    with np.errstate(over="ignore"):
+        t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
     c = cfg.censor_upper * u_censor
     return np.minimum(t, c), (t <= c).astype(np.int64)
 
@@ -216,9 +219,9 @@ def _study_rows(times, status, grid: FractionGrid, level: float):
     mu, computable, events = _fraction_mean_rows(
         curves.times, curves.survival, curves.events, curves.steps, grid)
     width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
-    _, lower, upper, reasons = _band_rows(
+    coeff, lower, upper, _ = _band_rows(
         curves.survival, curves.greenwood, curves.n, width, level)
-    band_ok = np.array([reason is None for reason in reasons])
+    band_ok = ~np.isnan(coeff)
     low, up = _fraction_bound_rows(curves.times, lower, upper, width, band_ok, grid)
     censored = times.shape[1] - status.sum(axis=1)
     return mu, computable, events, low, up, band_ok, censored

@@ -18,7 +18,6 @@ from survfrac import (
     RowError,
     SchemaError,
     FractionGrid,
-    ep_critical_value,
     fit_km,
     quantile,
 )
@@ -274,6 +273,36 @@ def reference_restricted_mean(curve, horizon):
     return float(_reference_dot(values, np.maximum(ends - starts, 0.0)))
 
 
+def reference_ep_critical_value(a_lower, a_upper, level):
+    """Scalar bisection with ``math.exp``: the reference for
+    ``km._critical_rows``, step for step."""
+    if not 0.0 < level < 1.0:
+        raise DataError(f"level must be in (0, 1), got {level}")
+    if not 0.0 < a_lower < a_upper < 1.0:
+        raise BandUndefinedError(
+            f"band requires 0 < a_L < a_U < 1, got ({a_lower}, {a_upper})"
+        )
+    alpha = 1.0 - level
+    log_ratio = math.log(a_upper * (1.0 - a_lower) / (a_lower * (1.0 - a_upper)))
+
+    def crossing(x):
+        dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return dens * ((x - 1.0 / x) * log_ratio + 4.0 / x)
+
+    lo, hi = 1.0, 2.0
+    while crossing(hi) > alpha:
+        hi *= 2.0
+        if hi > 1e3:
+            raise BandUndefinedError("critical value solve failed to bracket")
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if crossing(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_ep_band(curve, level, range=None):
     """Per-curve band: the reference for ``km._band_rows``.
 
@@ -317,7 +346,7 @@ def reference_ep_band(curve, level, range=None):
         raise BandUndefinedError(
             f"degenerate range: a(t_L) = a(t_U) = {a_lo:.6g}"
         )
-    coeff = ep_critical_value(a_lo, a_hi, level)
+    coeff = reference_ep_critical_value(a_lo, a_hi, level)
 
     half_width = coeff * surv * np.sqrt(gw)
     lower = np.clip(surv - half_width, 0.0, 1.0)

@@ -3,6 +3,7 @@
 -> ``reference_fraction_mean_bounds`` in ``helpers``), compared exactly: the
 batched rows must reproduce them bit for bit."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from survfrac import (
     EmptyEventsError,
     FractionGrid,
     SimConfig,
+    fit_km,
     run_study,
 )
 from survfrac import engine, sim
@@ -114,6 +116,24 @@ def test_study_rows_merge_tied_times_like_fit_km():
         assert upper[r].tolist() == [b[1] for b in bounds]
 
 
+def test_block_with_one_tied_row_matches_one_row_fits():
+    # one tied row sends the whole block through the tie merge, which
+    # must give each tie-free row what the merge-free path gives it alone
+    rng = np.random.default_rng(5)
+    samples = [random_censored_dataset(rng, n=30) for _ in range(8)]
+    samples[3] = random_censored_dataset(rng, n=30, tie_share=0.3)
+    times = np.stack([ds.times for ds in samples])
+    status = np.stack([ds.status for ds in samples])
+    assert [np.unique(t).size < t.size for t in times] == [r == 3 for r in range(8)]
+    curves = _fit_rows(times, status)
+    for r, ds in enumerate(samples):
+        m = curves.steps[r]
+        for curve in (fit_km(ds), reference_fit_km(ds)):
+            assert m == len(curve)
+            for name in ("times", "at_risk", "events", "survival", "greenwood"):
+                assert getattr(curves, name)[r, :m].tolist() == getattr(curve, name).tolist()
+
+
 def test_study_block_size_does_not_change_summary(monkeypatch):
     cfg = SimConfig(n_datasets=30, n=50, seed=8)
     summaries = []
@@ -151,7 +171,8 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    # the pool class is imported when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert engine._map_blocks(tuple, 5, 2, workers=2) == [(0, 2), (2, 4), (4, 5)]
     assert engine._map_blocks(tuple, 5, 2, workers=4) == [(0, 2), (2, 4), (4, 5)]
     assert engine._map_blocks(tuple, 2, 5, workers=4) == [(0, 2)]

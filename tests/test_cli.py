@@ -655,3 +655,40 @@ def test_compare_fits_each_group_once(run, two_arm_csv, monkeypatch):
                      "--restricted-mean", "--format", "json")
     assert code == 0
     assert calls == [24, 24]
+
+
+def test_negative_zero_time_is_zero(run, tmp_path):
+    outputs = []
+    for first, second in (("-0", "0"), ("0", "-0")):
+        p = tmp_path / "zeros.csv"
+        p.write_text(f"time,status\n{first},1\n{second},1\n1,0\n2,1\n")
+        code, out, err = run("km-curve", "--input", str(p), "--format", "csv")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # the origin row, then one step at 0.0 for both zeros
+    times = [line.split(",")[0] for line in outputs[0].splitlines()[1:]]
+    assert times == ["0.0", "0.0", "2.0"]
+
+
+def test_small_beta_simulate_writes_nothing_to_stderr():
+    src = Path(survfrac.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["simulate", "--beta", "0.01", "--lambdas", "0.5", "--n-datasets", "3",
+            "--n", "2000"]
+    proc = subprocess.run([sys.executable, "-m", "survfrac.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "beta=0.01" in proc.stdout
+
+
+def test_cli_import_leaves_pool_and_hashlib_unloaded():
+    # a command that starts no pool and resamples nothing never needs them
+    src = Path(survfrac.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, survfrac.cli; "
+            "print(sorted({'concurrent.futures.process', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -182,3 +182,9 @@ def test_parse_closes_the_file_it_opens(tmp_path, text):
             pass
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_negative_zero_times_stored_as_zero():
+    ds = Dataset(times=np.array([-0.0, 0.0, 1.0]), status=np.array([1, 1, 0]))
+    assert not np.signbit(ds.times).any()
+    assert ds.times.tolist() == [0.0, 0.0, 1.0]

@@ -1,11 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import empirical_survival, km_curve_of, random_censored_dataset, uncensored
+from helpers import (
+    empirical_survival,
+    km_curve_of,
+    random_censored_dataset,
+    reference_ep_critical_value,
+    reference_fit_km,
+    uncensored,
+)
 from survfrac import (
     BandUndefinedError,
+    Dataset,
     EmptyEventsError,
     ep_band,
     ep_critical_value,
@@ -13,6 +24,7 @@ from survfrac import (
     quantile,
     survival_at,
 )
+from survfrac import km
 
 
 def test_fit_censored_first():
@@ -143,6 +155,66 @@ def test_ep_critical_value_domain():
         ep_critical_value(0.0, 0.5, 0.95)
     with pytest.raises(ValueError):
         ep_critical_value(0.1, 0.5, 1.5)
+
+
+# a share of the sample: anywhere in [0, 1], or within 1e-6 of either end
+SHARE = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(5e-324, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.sampled_from([5e-324, 0.5, 1.0 - 2.0**-53]),
+)
+
+
+def reference_critical(a_lower, a_upper, level):
+    """The reference's value, or NaN and the reason it gives none."""
+    try:
+        value = reference_ep_critical_value(a_lower, a_upper, level)
+    except BandUndefinedError as exc:
+        return math.nan, str(exc)
+    except ZeroDivisionError:
+        value = None
+    if value is None or math.isinf(a_upper * (1 - a_lower) / (a_lower * (1 - a_upper))):
+        # the log ratio is infinite, so the crossing exceeds alpha at every x
+        # and no bracket closes; the scalar body divides by zero or stops
+        # where exp underflows
+        return math.nan, "critical value solve failed to bracket"
+    return value, None
+
+
+@pytest.mark.parametrize("guard", [km._EXP_GUARD, math.inf], ids=["np-exp", "math-exp"])
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(SHARE, SHARE), min_size=1, max_size=12),
+       level=st.floats(0.5, 0.999))
+@example(pairs=[(5e-324, 0.5), (5e-324, 0.25), (0.0, 0.5), (0.5, 0.5), (0.1, 0.6)],
+         level=0.95)
+def test_critical_rows_match_scalar_reference(guard, pairs, level):
+    # the second run recomputes every comparison with math.exp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "_EXP_GUARD", guard)
+        coeff = km._critical_rows([p[0] for p in pairs], [p[1] for p in pairs], level)
+        for (a_lower, a_upper), got in zip(pairs, coeff.tolist()):
+            want, reason = reference_critical(a_lower, a_upper, level)
+            if reason is None:
+                assert got == want
+                assert ep_critical_value(a_lower, a_upper, level) == want
+            else:
+                assert math.isnan(got)
+                with pytest.raises(BandUndefinedError, match=f"^{re.escape(reason)}$"):
+                    ep_critical_value(a_lower, a_upper, level)
+
+
+def test_fit_ignores_order_inside_ties():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        ds = random_censored_dataset(rng, tie_share=0.4)
+        curve = fit_km(ds)
+        for _ in range(3):
+            perm = rng.permutation(len(ds))
+            shuffled = fit_km(Dataset(times=ds.times[perm], status=ds.status[perm]))
+            for name in ("times", "at_risk", "events", "survival", "greenwood"):
+                assert getattr(shuffled, name).tolist() == getattr(curve, name).tolist()
+        assert curve.times.tolist() == reference_fit_km(ds).times.tolist()
 
 
 def test_band_orders_and_clamps():

@@ -243,3 +243,13 @@ def test_run_study_all_infinite_uppers_average_to_inf():
     s = run_study(cfg)
     assert s.finite_upper_share[-1] == 0.0
     assert math.isinf(s.mean_upper[-1])
+
+
+def test_small_beta_study_runs_without_overflow_warning():
+    # some event times pass the float range; as inf they are censored, and
+    # warnings are errors under pytest
+    cfg = SimConfig(n_datasets=3, n=2000, beta=0.01,
+                    grid=FractionGrid.from_uppers((0.5,)))
+    summary = run_study(cfg)
+    assert summary.censoring_rate > 0.4
+    assert math.isfinite(summary.mean_estimate[0])
