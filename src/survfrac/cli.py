@@ -193,6 +193,7 @@ def cmd_compare(args) -> OutputDocument:
         common_max_fraction=common_max,
         lambdas=list(grid.lambdas),
         bootstrap=args.bootstrap,
+        discarded_replicates=result.discarded_replicates,
         level=args.level,
         seed=args.seed,
         restricted_mean_horizon=horizon,

@@ -1,4 +1,4 @@
-"""Block mapping shared by the replicate engines.
+"""Block mapping and per-row streams shared by the replicate engines.
 
 The bootstrap (:mod:`survfrac.inference`) and the Monte Carlo study
 (:mod:`survfrac.sim`) both evaluate replicates in blocks of rows: a block
@@ -10,9 +10,29 @@ where.
 
 from __future__ import annotations
 
+import numpy as np
+
 # Cells (replicate rows x draws per row) evaluated at once.  Bounds the
 # engines' working arrays to a few MiB whatever the replicate count is.
 _BLOCK_CELLS = 1 << 16
+
+
+def _philox_rows(streams, fill) -> None:
+    """``fill(i, rng)`` for the i-th ``(key, counter)`` of ``streams``, with
+    ``rng`` a Generator at the start of that Philox stream.
+
+    Keys are pairs and counters quadruples of integers in [0, 2**64).  One
+    generator serves every row, its key and counter reset per row, which
+    gives the same draws as a fresh generator per row.
+    """
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for i, (key, counter) in enumerate(streams):
+        state["state"]["key"] = key
+        state["state"]["counter"] = counter
+        bitgen.state = state
+        fill(i, rng)
 
 
 def _map_blocks(work, total: int, block: int, workers: int) -> list:

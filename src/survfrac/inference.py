@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .engine import _BLOCK_CELLS, _map_blocks
+from .engine import _BLOCK_CELLS, _map_blocks, _philox_rows
 from .fracmean import (
     FractionGrid,
     _reaches,
@@ -56,10 +56,15 @@ class DiffEstimate:
 
 class BootstrapComparison(NamedTuple):
     """Per-fraction differences and, when a horizon was given, the
-    restricted-mean difference, all from the same replicates."""
+    restricted-mean difference, all from the same replicates.
+
+    ``discarded_replicates`` counts the replicates dropped from every
+    estimate because a group lost all its events.
+    """
 
     fractions: list[DiffEstimate]
     restricted: DiffEstimate | None
+    discarded_replicates: int
 
 
 def _group_digest(ds: Dataset) -> int:
@@ -81,40 +86,92 @@ class _Group(NamedTuple):
     """What a replicate block needs of one group's sample."""
 
     times: np.ndarray  # sorted distinct times
-    column: np.ndarray  # per observation: index of its time in ``times``
-    status: np.ndarray
+    # per observation: 2 * (index of its time in ``times``) + (1 if an event)
+    code: np.ndarray
     digest: int
 
 
 def _prepare(ds: Dataset) -> _Group:
     times, column = np.unique(ds.times, return_inverse=True)
-    return _Group(times, column.ravel(), ds.status, _group_digest(ds))
+    return _Group(times, 2 * column.ravel() + (ds.status == 1), _group_digest(ds))
+
+
+# 64-bit words read per replicate beyond the ceil(k / 2) that k index draws
+# take when no draw is rejected
+_SPARE_WORDS = 2
+
+
+def _bounded_rows(raw: np.ndarray, n: int, k: int):
+    """The first ``k`` values of ``integers(0, n)`` from each row of raw
+    Philox words, 0 < n < 2**32, and the mask of rows too short for ``k``.
+
+    This is numpy's int64 rule for such n: each 64-bit word gives two 32-bit
+    draws u, its low half first, and with m = u * n a draw is kept iff
+    m mod 2**32 >= (2**32 - n) mod n (Lemire's rule), its value m >> 32.
+    The product's dtype is given, since numpy before 2.0 would otherwise
+    keep it at 32 bits.
+    """
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    scaled = np.multiply(halves, np.uint64(n), dtype=np.uint64)
+    keep = scaled.astype(np.uint32) >= (2**32 - n) % n
+    scaled >>= np.uint64(32)
+    values = scaled.view(np.int64)
+    draws = values[:, :k]
+    short = np.zeros(len(raw), dtype=bool)
+    for r in np.flatnonzero(~keep[:, :k].all(axis=1)):
+        kept = values[r, keep[r]]
+        if kept.size < k:
+            short[r] = True
+        else:
+            draws[r] = kept[:k]
+    return draws, short
+
+
+def _index_draws(key, start: int, stop: int, n: int, k: int) -> np.ndarray:
+    """Rows r in [start, stop) of ``integers(0, n, size=k)`` from the Philox
+    stream at ``key`` and counter (0, 0, 0, r).
+
+    Each row is one raw read of its stream, turned into draws for the
+    whole block at once by :func:`_bounded_rows`.  A row whose read holds
+    fewer than ``k`` kept draws, and every row when n >= 2**32 (where numpy
+    takes other rules), is drawn again by ``integers`` itself.
+    """
+    streams = [(key, (0, 0, 0, r)) for r in range(start, stop)]
+    if n < 2**32:
+        words = -(-k // 2) + _SPARE_WORDS
+        raw = np.empty((len(streams), words), dtype=np.uint64)
+
+        def read(i, rng):
+            raw[i] = rng.bit_generator.random_raw(words)
+
+        _philox_rows(streams, read)
+        draws, short = _bounded_rows(raw, n, k)
+    else:
+        draws = np.empty((len(streams), k), dtype=np.int64)
+        short = np.ones(len(streams), dtype=bool)
+    redo = np.flatnonzero(short)
+    if redo.size:
+        def redraw(i, rng):
+            draws[redo[i]] = rng.integers(0, n, size=k)
+
+        _philox_rows([streams[r] for r in redo], redraw)
+    return draws
 
 
 def _replicate_counts(group: _Group, seed: int, start: int, stop: int):
     """Per-time observation and event counts of replicates [start, stop).
 
     Replicate r draws ``integers(0, n, size=n)`` from the Philox stream
-    keyed by (seed, group digest) at counter (0, 0, 0, r).  One generator
-    is reused, its counter reset per replicate, which gives the same draws
-    as a fresh generator per replicate.
+    keyed by (seed, group digest) at counter (0, 0, 0, r).  One count of
+    the drawn observations' codes gives both counts of every row.
     """
-    n = group.column.size
     m = group.times.size
     rows = stop - start
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(group.digest)])
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    draws = np.empty((rows, n), dtype=np.int64)
-    for i in range(rows):
-        fresh["state"]["counter"] = np.array([0, 0, 0, start + i], dtype=np.uint64)
-        bitgen.state = fresh
-        draws[i] = rng.integers(0, n, size=n)
-    cells = group.column[draws] + m * np.arange(rows)[:, None]
-    tot = np.bincount(cells.ravel(), minlength=rows * m).reshape(rows, m)
-    ev = np.bincount(cells[group.status[draws] == 1], minlength=rows * m)
-    return tot, ev.reshape(rows, m)
+    key = (seed & 0xFFFFFFFFFFFFFFFF, group.digest)
+    cells = group.code[_index_draws(key, start, stop, group.code.size, group.code.size)]
+    cells += 2 * m * np.arange(rows)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=2 * m * rows).reshape(rows, m, 2)
+    return counts[..., 0] + counts[..., 1], counts[..., 1]
 
 
 def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
@@ -145,7 +202,8 @@ def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
 
 
 def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
-    """Group-1-minus-group-0 statistic rows for the replicates in ``span``.
+    """Group-1-minus-group-0 statistic rows for the replicates in ``span``,
+    and how many of them were discarded.
 
     Columns are the grid fractions, then the restricted mean when a
     horizon is given.  NaN marks a fraction not computable on either side
@@ -158,13 +216,15 @@ def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
     diffs[~(ok0 & ok1)] = np.nan
     if horizon is not None:
         diffs = np.column_stack((diffs, rm1 - rm0))
-    diffs[~(ev0 & ev1)] = np.nan
-    return diffs
+    discarded = ~(ev0 & ev1)
+    diffs[discarded] = np.nan
+    return diffs, int(discarded.sum())
 
 
 def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
                      seed: int, workers: int, block: int | None = None):
-    """All B replicate rows of :func:`_block_diffs`, in replicate order.
+    """All B replicate rows of :func:`_block_diffs`, in replicate order,
+    and the count of discarded replicates.
 
     Blocks hold ``block`` replicates, by default as many as fit
     ``_BLOCK_CELLS`` draws.  With ``workers > 1`` the same blocks are
@@ -174,8 +234,8 @@ def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
     if block is None:
         block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
     work = partial(_block_diffs, p0, p1, grid, horizon, seed)
-    blocks = _map_blocks(work, B, block, workers)
-    return np.concatenate(blocks)
+    diffs, discarded = zip(*_map_blocks(work, B, block, workers))
+    return np.concatenate(diffs), sum(discarded)
 
 
 def _percentile_ci(diffs: np.ndarray, level: float) -> tuple[float, float]:
@@ -259,12 +319,12 @@ def bootstrap_compare(
     if horizon is not None:
         points.append(restricted_mean(c1, horizon) - restricted_mean(c0, horizon))
 
-    diffs = _replicate_diffs(g0, g1, grid, horizon, B, seed, workers)
+    diffs, discarded = _replicate_diffs(g0, g1, grid, horizon, B, seed, workers)
     out = [_estimate(p, diffs[:, j], B, level, floor_share)
            for j, p in enumerate(points)]
     if horizon is None:
-        return BootstrapComparison(out, None)
-    return BootstrapComparison(out[:-1], out[-1])
+        return BootstrapComparison(out, None, discarded)
+    return BootstrapComparison(out[:-1], out[-1], discarded)
 
 
 def bootstrap_fraction_diff(

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .engine import _BLOCK_CELLS, _map_blocks
+from .engine import _BLOCK_CELLS, _map_blocks, _philox_rows
 from .fracmean import FractionGrid, _fraction_bound_rows, _fraction_mean_rows
 from .km import _band_rows, _fit_rows, _range_widths
 
@@ -151,20 +151,13 @@ def _draw_rows(cfg: SimConfig, start: int, stop: int):
     """Samples [start, stop) as ``(times, status)`` rows.
 
     Sample i draws its event uniforms, then its censoring uniforms, from
-    the Philox stream keyed by (seed, i) at counter 0.  One generator is
-    reused with its key reset per sample, which gives the same draws as a
-    fresh generator per sample.
+    the Philox stream keyed by (seed, i) at counter 0.
     """
     n = cfg.n
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    seed = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     u = np.empty((stop - start, 2 * n))
-    for i in range(stop - start):
-        fresh["state"]["key"] = np.array([seed, np.uint64(start + i)])
-        bitgen.state = fresh
-        rng.random(out=u[i])
+    _philox_rows([((seed, i), (0, 0, 0, 0)) for i in range(start, stop)],
+                 lambda i, rng: rng.random(out=u[i]))
     u_event, u_censor = u[:, :n], u[:, n:]
     # a small beta sends some event times past the float range; inf is the
     # right value there, since such a time is later than every censoring

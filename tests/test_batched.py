@@ -140,10 +140,12 @@ def _two_groups(seed=5):
 def test_block_size_does_not_change_results():
     g0, g1 = _two_groups()
     B, horizon = 203, 0.7
-    runs = [_replicate_diffs(g0, g1, GRID, horizon, B, seed=4, workers=1, block=b)
-            for b in (1, 7, B)]
+    runs, discarded = zip(*(
+        _replicate_diffs(g0, g1, GRID, horizon, B, seed=4, workers=1, block=b)
+        for b in (1, 7, B)))
     for diffs in runs[1:]:
         assert np.array_equal(diffs, runs[0], equal_nan=True)
+    assert discarded[0] == discarded[1] == discarded[2]
     estimates = [[_estimate(0.0, d[:, j], B, 0.95, 0.5) for j in range(d.shape[1])]
                  for d in runs]
     assert estimates[0] == estimates[1] == estimates[2]

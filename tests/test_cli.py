@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -223,6 +224,21 @@ class TestCompare:
         row = doc["sections"][1]["rows"][0]
         assert row["horizon"] > 0
         assert doc["metadata"]["restricted_mean_horizon"] == row["horizon"]
+
+    def test_no_discarded_replicates_on_benchmark_input(self, run, tmp_path):
+        # the compare-boot input of perfbench: every resample keeps events
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("gen", root / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        path = gen.generate("compare-boot", 7, tmp_path)["files"]["csv"]
+        code, out, _ = run(
+            "compare", "--input", str(path), "--group-col", "arm",
+            "--ref-group", "A", "--bootstrap", "2000", "--restricted-mean",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["metadata"]["discarded_replicates"] == 0
 
     def test_group_without_events_exit_2(self, run, tmp_path):
         p = tmp_path / "noev.csv"

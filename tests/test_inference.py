@@ -5,6 +5,7 @@ from helpers import random_censored_dataset, uncensored
 from survfrac import (
     Dataset,
     FractionGrid,
+    bootstrap_compare,
     bootstrap_fraction_diff,
     bootstrap_restricted_mean_diff,
     fit_km,
@@ -120,6 +121,18 @@ class TestBootstrapFractionDiff:
         grid = FractionGrid((0.0, 0.2))
         out = bootstrap_fraction_diff(tiny, tiny, grid, B=400, seed=17)
         assert out[0].effective_replicates < 400
+
+    def test_discarded_replicates_counted_apart(self):
+        tiny = Dataset(
+            times=np.array([1.0, 2.0, 3.0, 4.0]),
+            status=np.array([1, 0, 0, 0]),
+        )
+        grid = FractionGrid((0.0, 0.2))
+        out = bootstrap_compare(tiny, tiny, grid, horizon=2.5, B=400, seed=17)
+        # every kept replicate has a restricted mean, so only discarded
+        # replicates are missing from it
+        assert out.discarded_replicates > 0
+        assert out.discarded_replicates == 400 - out.restricted.effective_replicates
 
     def test_validation(self):
         g0, g1 = two_samples()
