@@ -218,7 +218,7 @@ _SIM_SETTINGS = {
 def _read_sim_config(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise DataError(str(exc)) from None

@@ -95,16 +95,19 @@ class Dataset:
 @contextmanager
 def _text_stream(source):
     """A text stream over a path, bytes, or file-like source that closes
-    only what it opens: a caller's binary handle is detached, not closed."""
+    only what it opens: a caller's binary handle is detached, not closed.
+
+    What is read as bytes is decoded as UTF-8 with any leading byte-order
+    mark skipped; a text handle is read as its caller decoded it."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as stream:
+        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
             yield stream
     elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
+        yield io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, io.TextIOBase):
         yield source
     else:
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
         try:
             yield stream
         finally:

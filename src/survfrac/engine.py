@@ -17,22 +17,24 @@ import numpy as np
 _BLOCK_CELLS = 1 << 16
 
 
-def _philox_rows(streams, fill) -> None:
-    """``fill(i, rng)`` for the i-th ``(key, counter)`` of ``streams``, with
-    ``rng`` a Generator at the start of that Philox stream.
+def _philox_rows(streams):
+    """The Generator at the start of the Philox stream of each ``(key,
+    counter)`` of ``streams``, in order.
 
-    Keys are pairs and counters quadruples of integers in [0, 2**64).  One
-    generator serves every row, its key and counter reset per row, which
-    gives the same draws as a fresh generator per row.
+    Keys are pairs of integers, each word taken mod 2**64, so that any
+    integer seed keys a stream; counters are quadruples of integers in
+    [0, 2**64).  One generator serves every row, its key and counter reset
+    before it is yielded, which gives the same draws as a fresh generator
+    per row: use each before taking the next.
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    for i, (key, counter) in enumerate(streams):
-        state["state"]["key"] = key
+    for (key0, key1), counter in streams:
+        state["state"]["key"] = (key0 % 2**64, key1 % 2**64)
         state["state"]["counter"] = counter
         bitgen.state = state
-        fill(i, rng)
+        yield rng
 
 
 def _map_blocks(work, total: int, block: int, workers: int) -> list:

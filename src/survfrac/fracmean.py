@@ -102,14 +102,11 @@ def _dot(x, y):
     """Product sum over the last axis of ``x`` and ``y``, the same for any
     BLAS thread count.
 
-    Up to ``_DOT_CHUNK`` elements this is ``x @ y`` (per broadcast pair of
-    rows for stacked operands, through ``np.matmul``, which calls the same
-    BLAS dot); longer sums are taken in chunks of that length, added left
-    to right.
+    Up to ``_DOT_CHUNK`` elements this is one BLAS dot per broadcast pair
+    of rows, through ``np.matmul``; longer sums are taken in chunks of that
+    length, added left to right.
     """
     def part(a, b):
-        if a.ndim == 1 and b.ndim == 1:
-            return a @ b
         return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
     if x.shape[-1] <= _DOT_CHUNK:

@@ -42,8 +42,8 @@ class DiffEstimate:
 
     ``effective_replicates`` counts the bootstrap replicates that actually
     informed the interval (both groups computable, no discarded resample);
-    ``unreliable`` flags intervals built from fewer than the floor share of
-    requested replicates.
+    ``unreliable`` flags intervals built from fewer than ``_FLOOR_SHARE``
+    (half) of the requested replicates.
     """
 
     point: float
@@ -96,14 +96,10 @@ def _prepare(ds: Dataset) -> _Group:
     return _Group(times, 2 * column.ravel() + (ds.status == 1), _group_digest(ds))
 
 
-# 64-bit words read per replicate beyond the ceil(k / 2) that k index draws
-# take when no draw is rejected
-_SPARE_WORDS = 2
-
-
 def _bounded_rows(raw: np.ndarray, n: int, k: int):
-    """The first ``k`` values of ``integers(0, n)`` from each row of raw
-    Philox words, 0 < n < 2**32, and the mask of rows too short for ``k``.
+    """The ``integers(0, n, size=k)`` draws of each row of raw Philox
+    words, 0 < n < 2**32, and the mask of rows with a rejected draw among
+    their first ``k`` halves, whose draws are not numpy's.
 
     This is numpy's int64 rule for such n: each 64-bit word gives two 32-bit
     draws u, its low half first, and with m = u * n a draw is kept iff
@@ -111,50 +107,34 @@ def _bounded_rows(raw: np.ndarray, n: int, k: int):
     The product's dtype is given, since numpy before 2.0 would otherwise
     keep it at 32 bits.
     """
-    halves = raw.astype("<u8", copy=False).view("<u4")
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :k]
     scaled = np.multiply(halves, np.uint64(n), dtype=np.uint64)
-    keep = scaled.astype(np.uint32) >= (2**32 - n) % n
+    rejected = scaled.astype(np.uint32) < (2**32 - n) % n
     scaled >>= np.uint64(32)
-    values = scaled.view(np.int64)
-    draws = values[:, :k]
-    short = np.zeros(len(raw), dtype=bool)
-    for r in np.flatnonzero(~keep[:, :k].all(axis=1)):
-        kept = values[r, keep[r]]
-        if kept.size < k:
-            short[r] = True
-        else:
-            draws[r] = kept[:k]
-    return draws, short
+    return scaled.view(np.int64), rejected.any(axis=1)
 
 
 def _index_draws(key, start: int, stop: int, n: int, k: int) -> np.ndarray:
     """Rows r in [start, stop) of ``integers(0, n, size=k)`` from the Philox
     stream at ``key`` and counter (0, 0, 0, r).
 
-    Each row is one raw read of its stream, turned into draws for the
-    whole block at once by :func:`_bounded_rows`.  A row whose read holds
-    fewer than ``k`` kept draws, and every row when n >= 2**32 (where numpy
-    takes other rules), is drawn again by ``integers`` itself.
+    Each row is one raw read of ceil(k / 2) words of its stream, turned
+    into draws for the whole block at once by :func:`_bounded_rows`.  A row
+    with a rejected draw, and every row when n >= 2**32 (where numpy takes
+    other rules), is drawn again by ``integers`` itself.
     """
     streams = [(key, (0, 0, 0, r)) for r in range(start, stop)]
     if n < 2**32:
-        words = -(-k // 2) + _SPARE_WORDS
-        raw = np.empty((len(streams), words), dtype=np.uint64)
-
-        def read(i, rng):
-            raw[i] = rng.bit_generator.random_raw(words)
-
-        _philox_rows(streams, read)
-        draws, short = _bounded_rows(raw, n, k)
+        raw = np.empty((len(streams), -(-k // 2)), dtype=np.uint64)
+        for row, rng in zip(raw, _philox_rows(streams)):
+            row[:] = rng.bit_generator.random_raw(row.size)
+        draws, redo = _bounded_rows(raw, n, k)
     else:
         draws = np.empty((len(streams), k), dtype=np.int64)
-        short = np.ones(len(streams), dtype=bool)
-    redo = np.flatnonzero(short)
-    if redo.size:
-        def redraw(i, rng):
-            draws[redo[i]] = rng.integers(0, n, size=k)
-
-        _philox_rows([streams[r] for r in redo], redraw)
+        redo = np.ones(len(streams), dtype=bool)
+    rows = np.flatnonzero(redo)
+    for r, rng in zip(rows, _philox_rows([streams[r] for r in rows])):
+        draws[r] = rng.integers(0, n, size=k)
     return draws
 
 
@@ -167,8 +147,8 @@ def _replicate_counts(group: _Group, seed: int, start: int, stop: int):
     """
     m = group.times.size
     rows = stop - start
-    key = (seed & 0xFFFFFFFFFFFFFFFF, group.digest)
-    cells = group.code[_index_draws(key, start, stop, group.code.size, group.code.size)]
+    n = group.code.size
+    cells = group.code[_index_draws((seed, group.digest), start, stop, n, n)]
     cells += 2 * m * np.arange(rows)[:, None]
     counts = np.bincount(cells.ravel(), minlength=2 * m * rows).reshape(rows, m, 2)
     return counts[..., 0] + counts[..., 1], counts[..., 1]
@@ -222,17 +202,16 @@ def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
 
 
 def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
-                     seed: int, workers: int, block: int | None = None):
+                     seed: int, workers: int):
     """All B replicate rows of :func:`_block_diffs`, in replicate order,
     and the count of discarded replicates.
 
-    Blocks hold ``block`` replicates, by default as many as fit
-    ``_BLOCK_CELLS`` draws.  With ``workers > 1`` the same blocks are
-    mapped over a process pool, so the result does not depend on it.
+    Blocks hold as many replicates as fit ``_BLOCK_CELLS`` draws.  With
+    ``workers > 1`` the same blocks are mapped over a process pool, so the
+    result does not depend on it.
     """
     p0, p1 = _prepare(g0), _prepare(g1)
-    if block is None:
-        block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
+    block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
     work = partial(_block_diffs, p0, p1, grid, horizon, seed)
     diffs, discarded = zip(*_map_blocks(work, B, block, workers))
     return np.concatenate(diffs), sum(discarded)
@@ -253,8 +232,11 @@ def _percentile_ci(diffs: np.ndarray, level: float) -> tuple[float, float]:
     return float(ordered[lo_rank - 1]), float(ordered[up_rank - 1])
 
 
-def _estimate(point: float, col: np.ndarray, B: int, level: float,
-              floor_share: float) -> DiffEstimate:
+# share of the requested replicates below which an interval is unreliable
+_FLOOR_SHARE = 0.5
+
+
+def _estimate(point: float, col: np.ndarray, B: int, level: float) -> DiffEstimate:
     col = col[~np.isnan(col)]
     if col.size:
         ci_lo, ci_up = _percentile_ci(col, level)
@@ -266,7 +248,7 @@ def _estimate(point: float, col: np.ndarray, B: int, level: float,
         ci_upper=ci_up,
         effective_replicates=int(col.size),
         requested_replicates=B,
-        unreliable=col.size < floor_share * B,
+        unreliable=col.size < _FLOOR_SHARE * B,
     )
 
 
@@ -290,7 +272,6 @@ def bootstrap_compare(
     level: float = 0.95,
     seed: int = 0,
     workers: int = 1,
-    floor_share: float = 0.5,
     *,
     curves: tuple[KmCurve, KmCurve] | None = None,
 ) -> BootstrapComparison:
@@ -320,8 +301,7 @@ def bootstrap_compare(
         points.append(restricted_mean(c1, horizon) - restricted_mean(c0, horizon))
 
     diffs, discarded = _replicate_diffs(g0, g1, grid, horizon, B, seed, workers)
-    out = [_estimate(p, diffs[:, j], B, level, floor_share)
-           for j, p in enumerate(points)]
+    out = [_estimate(p, diffs[:, j], B, level) for j, p in enumerate(points)]
     if horizon is None:
         return BootstrapComparison(out, None, discarded)
     return BootstrapComparison(out[:-1], out[-1], discarded)
@@ -335,14 +315,13 @@ def bootstrap_fraction_diff(
     level: float = 0.95,
     seed: int = 0,
     workers: int = 1,
-    floor_share: float = 0.5,
 ) -> list[DiffEstimate]:
     """Bootstrap the per-fraction difference mu_bar(g1) - mu_bar(g0).
 
     The fraction part of :func:`bootstrap_compare`.
     """
     return bootstrap_compare(g0, g1, grid, B=B, level=level, seed=seed,
-                             workers=workers, floor_share=floor_share).fractions
+                             workers=workers).fractions
 
 
 def bootstrap_restricted_mean_diff(
@@ -353,12 +332,10 @@ def bootstrap_restricted_mean_diff(
     level: float = 0.95,
     seed: int = 0,
     workers: int = 1,
-    floor_share: float = 0.5,
 ) -> DiffEstimate:
     """Bootstrap the difference of restricted means at a shared horizon.
 
     The restricted-mean part of :func:`bootstrap_compare`.
     """
     return bootstrap_compare(g0, g1, None, horizon=horizon, B=B, level=level,
-                             seed=seed, workers=workers,
-                             floor_share=floor_share).restricted
+                             seed=seed, workers=workers).restricted

@@ -154,10 +154,10 @@ def _draw_rows(cfg: SimConfig, start: int, stop: int):
     the Philox stream keyed by (seed, i) at counter 0.
     """
     n = cfg.n
-    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     u = np.empty((stop - start, 2 * n))
-    _philox_rows([((seed, i), (0, 0, 0, 0)) for i in range(start, stop)],
-                 lambda i, rng: rng.random(out=u[i]))
+    streams = [((cfg.seed, i), (0, 0, 0, 0)) for i in range(start, stop)]
+    for row, rng in zip(u, _philox_rows(streams)):
+        rng.random(out=row)
     u_event, u_censor = u[:, :n], u[:, n:]
     # a small beta sends some event times past the float range; inf is the
     # right value there, since such a time is later than every censoring
@@ -239,48 +239,34 @@ def run_study(cfg: SimConfig, workers: int = 1) -> SimSummary:
         np.concatenate(col) for col in zip(*parts)
     )
 
-    def total(values, mask):
-        # the running sum a loop over replicates in index order would take
-        return np.cumsum(np.where(mask, values, 0.0), axis=0)[-1]
+    def mean(values, mask, empty=math.nan):
+        # per column, the running sum a loop over replicates in index order
+        # would take, over the count of masked replicates
+        total = np.cumsum(np.where(mask, values, 0.0), axis=0)[-1]
+        count = mask.sum(axis=0)
+        return tuple(float(total[j] / count[j]) if count[j] else empty
+                     for j in range(cfg.grid.k))
 
-    k = cfg.grid.k
     n_rep = cfg.n_datasets
     band = band_ok[:, None]
-    low_mask = computable & band
     up_mask = band & np.isfinite(upper)
-    mu_sum, mu_cnt = total(mu, computable), computable.sum(axis=0)
-    ev_sum = total(events, computable)
-    low_sum, low_cnt = total(lower, low_mask), low_mask.sum(axis=0)
-    up_sum, up_cnt = total(upper, up_mask), up_mask.sum(axis=0)
     band_defined = int(band_ok.sum())
-    censored_total = int(censored.sum())
-
-    def ratio(num, cnt):
-        return tuple(
-            float(num[j] / cnt[j]) if cnt[j] else math.nan for j in range(k)
-        )
-
-    # an averaged upper bound with no finite contributions is itself infinite
-    mean_upper = tuple(
-        float(up_sum[j] / up_cnt[j])
-        if up_cnt[j]
-        else (math.inf if band_defined else math.nan)
-        for j in range(k)
-    )
 
     return SimSummary(
         grid=cfg.grid,
         true_mu=true_mu,
-        mean_estimate=ratio(mu_sum, mu_cnt),
-        mean_lower=ratio(low_sum, low_cnt),
-        mean_upper=mean_upper,
-        computable_share=tuple(float(c / n_rep) for c in mu_cnt),
+        mean_estimate=mean(mu, computable),
+        mean_lower=mean(lower, computable & band),
+        # an averaged upper bound with no finite contributions is itself
+        # infinite
+        mean_upper=mean(upper, up_mask, math.inf if band_defined else math.nan),
+        computable_share=tuple(float(c / n_rep) for c in computable.sum(axis=0)),
         finite_upper_share=tuple(
-            float(up_cnt[j] / band_defined) if band_defined else math.nan
-            for j in range(k)
+            float(c / band_defined) if band_defined else math.nan
+            for c in up_mask.sum(axis=0)
         ),
-        mean_events=ratio(ev_sum, mu_cnt),
-        censoring_rate=censored_total / (n_rep * cfg.n),
+        mean_events=mean(events, computable),
+        censoring_rate=int(censored.sum()) / (n_rep * cfg.n),
         n_datasets=n_rep,
         band_undefined_count=n_rep - band_defined,
         config=cfg,

@@ -137,16 +137,19 @@ def _two_groups(seed=5):
     return random_censored_dataset(rng, n=45), random_censored_dataset(rng, n=38)
 
 
-def test_block_size_does_not_change_results():
+def test_block_size_does_not_change_results(monkeypatch):
     g0, g1 = _two_groups()
     B, horizon = 203, 0.7
-    runs, discarded = zip(*(
-        _replicate_diffs(g0, g1, GRID, horizon, B, seed=4, workers=1, block=b)
-        for b in (1, 7, B)))
+    results = []
+    for rows in (1, 7, B):
+        # a block holds _BLOCK_CELLS // (larger group size) replicates
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", rows * max(len(g0), len(g1)))
+        results.append(_replicate_diffs(g0, g1, GRID, horizon, B, seed=4, workers=1))
+    runs, discarded = zip(*results)
     for diffs in runs[1:]:
         assert np.array_equal(diffs, runs[0], equal_nan=True)
     assert discarded[0] == discarded[1] == discarded[2]
-    estimates = [[_estimate(0.0, d[:, j], B, 0.95, 0.5) for j in range(d.shape[1])]
+    estimates = [[_estimate(0.0, d[:, j], B, 0.95) for j in range(d.shape[1])]
                  for d in runs]
     assert estimates[0] == estimates[1] == estimates[2]
 

@@ -572,6 +572,18 @@ def test_non_utf8_config_exit_2(run, tmp_path):
     assert err.startswith("survfrac simulate: error: 'utf-8' codec can't decode byte 0xe9")
 
 
+def test_byte_order_mark_input_and_config_run(run, simple_csv, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(simple_csv).read_bytes())
+    assert run("estimate", "--input", str(bom), "--format", "csv") == \
+        run("estimate", "--input", simple_csv, "--format", "csv")
+    cfg = tmp_path / "bom.conf"
+    cfg.write_bytes(b"\xef\xbb\xbfn_datasets = 3\nn = 20\n")
+    code, out, err = run("simulate", "--config", str(cfg), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["metadata"]["n_datasets"] == 3
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
     (["km-curve", "--band-level", "0"], "level must be in (0, 1), got 0.0"),

@@ -155,6 +155,21 @@ def test_split_requires_group_labels():
         split_by_group(ds)
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    # Excel's "CSV UTF-8" files start with one
+    plain = b"time,status,arm\n1,1,a\n2,0,b\n3,1,a\n"
+    bom = b"\xef\xbb\xbf" + plain
+    p = tmp_path / "bom.csv"
+    p.write_bytes(bom)
+    expected = parse_csv(plain, group_col="arm")
+    with open(p, "rb") as fh:
+        sources = [bom, p, str(p), fh]
+        for ds in (parse_csv(source, group_col="arm") for source in sources):
+            assert ds.times.tolist() == expected.times.tolist()
+            assert ds.status.tolist() == expected.status.tolist()
+            assert ds.groups == expected.groups
+
+
 def test_parse_leaves_a_callers_binary_handle_open(tmp_path):
     p = tmp_path / "d.csv"
     p.write_bytes(b"time,status\n2,1\n3,0\n")

@@ -1,12 +1,14 @@
 """Bootstrap index draws from raw Philox words against numpy's own
-``Generator.integers``, and the replicate counts built from them against
-per-replicate resamples."""
+``Generator.integers``, the replicate counts built from them against
+per-replicate resamples, and the seed-to-key rule of both engines."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from helpers import random_censored_dataset, resample
-from survfrac import Dataset, inference
+from survfrac import Dataset, FractionGrid, SimConfig, bootstrap_compare, inference, run_study
 
 KEY = (0xFFFFFFFFFFFFFFFF, 0x0123456789ABCDEF)
 
@@ -22,13 +24,20 @@ def _stream(r):
 
 
 def _numpy_draws(r, n, k):
-    """numpy's draws and the count of 64-bit words they read."""
-    bitgen = _stream(r)
-    draws = np.random.Generator(bitgen).integers(0, n, size=k)
-    state = bitgen.state
-    # the counter steps once per block of four words, before the block
-    blocks = int(state["state"]["counter"][0])
-    return draws, 4 * (blocks - 1) + state["buffer_pos"] if blocks else 0
+    return np.random.Generator(_stream(r)).integers(0, n, size=k)
+
+
+def _rejected_rows(start, stop, n, k):
+    """Rows r in [start, stop) whose first k 32-bit halves of raw words,
+    low half first, hold a draw that Lemire's rule rejects for n."""
+    threshold = (2**32 - n) % n
+    rows = set()
+    for r in range(start, stop):
+        words = _stream(r).random_raw(-(-k // 2)).tolist()
+        halves = [half for w in words for half in (w % 2**32, w >> 32)]
+        if any(u * n % 2**32 < threshold for u in halves[:k]):
+            rows.add(r)
+    return rows
 
 
 @pytest.mark.parametrize("n", RANGES)
@@ -37,32 +46,25 @@ def test_index_draws_equal_numpy_integers(monkeypatch, n, k):
     calls = []
     real = inference._philox_rows
 
-    def spy(streams, fill):
+    def spy(streams):
         calls.append([counter[3] for _, counter in streams])
-        real(streams, fill)
+        return real(streams)
 
     monkeypatch.setattr(inference, "_philox_rows", spy)
     start, stop = 5, 205
     draws = inference._index_draws(KEY, start, stop, n, k)
-    # below 2**32 the first call is the raw read and any later one redraws
-    reads = 1 if n < 2**32 else 0
-    assert len(calls) <= reads + 1
-    redrawn = {r for rows in calls[reads:] for r in rows}
-    spare_path = False
+    # below 2**32 the first call is the raw read; the last one redraws
+    assert len(calls) == (2 if n < 2**32 else 1)
+    redrawn = set(calls[-1])
     for i, r in enumerate(range(start, stop)):
-        expected, words = _numpy_draws(r, n, k)
-        assert draws[i].tolist() == expected.tolist(), (n, k, r)
-        spare_path |= r not in redrawn and words > -(-k // 2)
+        assert draws[i].tolist() == _numpy_draws(r, n, k).tolist(), (n, k, r)
     if n >= 2**32:
         assert redrawn == set(range(start, stop))
-    elif n == 2**31 + 1:
-        # about twice ceil(k / 2) words are needed: the spare words hold
-        # that for some rows of a few draws, and the other rows are drawn
-        # again
-        assert redrawn
-        assert spare_path or k > 8
     else:
-        assert not redrawn
+        assert redrawn == _rejected_rows(start, stop, n, k)
+    if n == 2**31 + 1:
+        # about half of all draws are rejected there
+        assert redrawn
 
 
 def _counts_reference(ds, group, seed, r):
@@ -92,3 +94,27 @@ def test_replicate_counts_equal_resample_bincounts(kind):
         ref_tot, ref_ev = _counts_reference(ds, group, seed, r)
         assert tot[i].tolist() == ref_tot.tolist()
         assert ev[i].tolist() == ref_ev.tolist()
+
+
+def _two_groups():
+    rng = np.random.default_rng(17)
+    return random_censored_dataset(rng, n=40), random_censored_dataset(rng, n=35)
+
+
+@pytest.mark.parametrize("seed", [-5, 7])
+def test_seed_is_taken_mod_2_64(seed):
+    g0, g1 = _two_groups()
+    grid = FractionGrid((0.0, 0.3, 0.6))
+
+    def compare(s):
+        return repr(bootstrap_compare(g0, g1, grid, horizon=1.0, B=100, seed=s))
+
+    def study(s):
+        summary = run_study(SimConfig(n_datasets=30, n=25, seed=s))
+        return repr(dataclasses.replace(summary, config=None))
+
+    assert compare(seed) == compare(seed + 2**64)
+    assert study(seed) == study(seed + 2**64)
+    # the seed does key the streams
+    assert compare(seed) != compare(seed + 1)
+    assert study(seed) != study(seed + 1)
