@@ -93,31 +93,6 @@ def max_observed_fraction(curve: KmCurve) -> float:
     return 1.0 - float(curve.survival[-1])
 
 
-# OpenBLAS splits a dot longer than 10 000 elements over its threads and
-# adds the partial sums in an order that depends on the thread count.
-_DOT_CHUNK = 8192
-
-
-def _dot(x, y):
-    """Product sum over the last axis of ``x`` and ``y``, the same for any
-    BLAS thread count.
-
-    Up to ``_DOT_CHUNK`` elements this is one BLAS dot per broadcast pair
-    of rows, through ``np.matmul``; longer sums are taken in chunks of that
-    length, added left to right.
-    """
-    def part(a, b):
-        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-    if x.shape[-1] <= _DOT_CHUNK:
-        return part(x, y)
-    total = part(x[..., :_DOT_CHUNK], y[..., :_DOT_CHUNK])
-    for start in range(_DOT_CHUNK, x.shape[-1], _DOT_CHUNK):
-        stop = start + _DOT_CHUNK
-        total = total + part(x[..., start:stop], y[..., start:stop])
-    return total
-
-
 def fraction_means(
     curve: KmCurve,
     grid: FractionGrid,
@@ -196,48 +171,69 @@ def _window_masses(times, edge, width, grid: FractionGrid, events=None):
 
     ``edge`` is ``edge[..., rows, cols]``, a stack of step functions over
     the same rows: row ``r`` holds its steps in the first ``w = width[r]``
-    columns of ``times`` and of each edge, with the leading value 1
-    implied.  Each mass is ``_dot(times[r, :w], overlap[..., r, :w])``:
-    stacked rows of one width go through the same BLAS dot as a single
+    columns of each edge (not NaN) and of ``times`` (finite, broadcast to
+    the rows), with the leading value 1 implied.  A window covers a
+    contiguous run of steps, whose boundary steps, the first below each
+    gamma, are found exactly.  The steps strictly inside add
+    ``t_j * (e_{j-1} - e_j)`` in one ``np.add.reduceat`` per block, and the
+    two boundary steps their partial overlap.  Each sum reads only its own
     row, so a row's masses do not depend on the rows evaluated with it.
     With ``events`` given, ``counts`` holds the events at the steps of
     positive overlap (a step straddling a window edge counts in both
     fractions), else None.
     """
-    width = np.asarray(width)
-    order = None
-    if np.any(width[1:] < width[:-1]):
-        # rows of one width become a contiguous run
-        order = np.argsort(width, kind="stable")
-        times, edge, width = times[order], edge[..., order, :], width[order]
-        if events is not None:
-            events = events[order]
-    firsts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()
-    runs = list(zip(firsts, firsts[1:] + [width.size], width[firsts].tolist()))
-    mass = np.empty(edge.shape[:-1] + (grid.k,))
+    stack, cols = edge.shape[:-1], edge.shape[-1]
+    # value[..., c] is the edge after step c: column 0 holds the leading 1
+    # and column cols + 1 a spare step, and every column past the width
+    # repeats the last value, so the steps there have no width
+    value = np.ones(stack + (cols + 2,))
+    value[..., 1:-1] = edge
+    last = np.broadcast_to(np.asarray(width)[:, None], stack + (1,))
+    np.copyto(value, np.take_along_axis(value, last, -1), where=np.arange(cols + 2) > last)
+
+    # the first step below gamma_k comes after the values at or above it,
+    # counted by one search over keys ordered by row, then by falling value:
+    # complex numbers compare exactly, real part first.  A row that never
+    # descends below gamma_k ends its window at the spare step
+    gammas = np.asarray(grid.gammas)
+    k = grid.k
+    row = np.arange(value[..., 0].size).reshape(stack + (1,))
+    keys = np.empty(value.shape, complex)
+    keys.real = row
+    np.negative(value, out=keys.imag)
+    probes = np.empty(stack + (k + 1,), complex)
+    probes.real = row
+    probes.imag = -gammas
+    above = np.searchsorted(keys.ravel(), probes.ravel(), side="right").reshape(probes.shape)
+    del keys
+    cut = np.minimum(above - (cols + 2) * row, cols + 1) - 1  # step c is term column c - 1
+
+    prev = np.take_along_axis(value, cut, -1)
+    cur = np.take_along_axis(value, cut + 1, -1)
+    hi, lo = gammas[:-1], gammas[1:]
+    top = np.maximum(np.minimum(prev[..., :-1], hi) - np.maximum(cur[..., :-1], lo), 0.0)
+    bottom = np.maximum(np.minimum(prev[..., 1:], hi) - np.maximum(cur[..., 1:], lo), 0.0)
+    bottom[cut[..., 1:] == cut[..., :-1]] = 0.0  # one step straddles both edges
+    at = (cut + (cols + 1) * row).ravel()
+
+    def window_sums(inner, ends, top_weight, bottom_weight):
+        # each window's segment starts at its upper boundary step, zeroed,
+        # so an empty window sums to 0; the segment after the last gamma is
+        # unused.  The boundary steps add ``ends`` times their weights
+        inner.ravel()[at] = 0
+        total = np.add.reduceat(inner.ravel(), at).reshape(stack + (k + 1,))[..., :-1]
+        return total + ends[..., :-1] * top_weight + ends[..., 1:] * bottom_weight
+
+    term = value[..., :-1] - value[..., 1:]
+    term[..., :-1] *= times
+    # the spare step overlaps no window, so any time serves for it
+    t = np.take_along_axis(np.broadcast_to(times, edge.shape), np.minimum(cut, cols - 1), -1)
+    mass = window_sums(term, t, top, bottom)
     counts = None
     if events is not None:
-        events = np.where(np.arange(edge.shape[-1]) < width[:, None], events, 0)
-        counts = np.empty(mass.shape, dtype=events.dtype)
-    overlap = np.empty_like(edge)
-    floor = np.empty_like(edge)
-    gammas = grid.gammas
-    for j in range(grid.k):
-        # each step spans (edge, previous edge], the first step (edge, 1]
-        overlap[..., 0] = gammas[j]
-        np.minimum(edge[..., :-1], gammas[j], out=overlap[..., 1:])
-        np.maximum(edge, gammas[j + 1], out=floor)
-        overlap -= floor
-        np.maximum(overlap, 0.0, out=overlap)
-        for a, b, w in runs:
-            mass[..., a:b, j] = _dot(times[a:b, :w], overlap[..., a:b, :w])
-        if counts is not None:
-            np.sum(events, axis=-1, where=overlap > 0.0, out=counts[..., j])
-    if order is not None:
-        back = np.argsort(order)
-        mass = mass[..., back, :]
-        if counts is not None:
-            counts = counts[..., back, :]
+        ev = np.zeros(term.shape, dtype=events.dtype)
+        np.copyto(ev[..., :-1], events, where=value[..., :-2] > value[..., 1:-1])
+        counts = window_sums(ev, np.take_along_axis(ev, cut, -1), top > 0.0, bottom > 0.0)
     return mass, counts
 
 
@@ -262,17 +258,21 @@ def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid
     np.minimum.accumulate(edges, axis=2, out=edges)
     last = edges[1, np.arange(width.size), width - 1]
     reaches = defined[:, None] & _reaches(last, grid)
-    (lo_mass, up_mass), _ = _window_masses(times, edges, width, grid)
+    # a row without a band holds NaN edges, so it takes no steps
+    (lo_mass, up_mass), _ = _window_masses(times, edges, np.where(defined, width, 0), grid)
     return (np.where(defined[:, None], lo_mass, np.nan),
             np.where(reaches, up_mass, np.inf))
 
 
 def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
     """Row form of :func:`restricted_mean` on survival rows valued at the
-    shared sorted ``times``, with the leading value 1."""
+    shared sorted ``times``, with the leading value 1.  Each row adds its
+    own products in numpy's pairwise order, the same however many rows
+    come with it; ``np.einsum`` would not do, since it sums a lone row of
+    more than 8 192 columns in another order than a row of a stack."""
     values = np.concatenate((np.ones((surv.shape[0], 1)), surv), axis=1)
-    spans = np.diff(np.minimum(times, horizon), prepend=0.0, append=horizon)
-    return _dot(values, spans)
+    values *= np.diff(np.minimum(times, horizon), prepend=0.0, append=horizon)
+    return values.sum(axis=1)
 
 
 _GRID_TOL = 1e-12  # slack for a fraction that rounding puts past the maximum

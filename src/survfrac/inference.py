@@ -167,9 +167,7 @@ def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
     if grid is not None:
         # every column is a valid curve value: a time without events in a
         # replicate repeats the previous value and so adds no mass
-        rows, m = surv.shape
-        mu, _ = _window_masses(np.broadcast_to(group.times, surv.shape), surv,
-                               np.full(rows, m), grid)
+        mu, _ = _window_masses(group.times, surv, np.full(len(surv), surv.shape[1]), grid)
         mu_bar = mu / np.asarray(grid.widths)
         computable = _reaches(surv[:, -1], grid)
     else:

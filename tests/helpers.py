@@ -21,7 +21,6 @@ from survfrac import (
     fit_km,
     quantile,
 )
-from survfrac.fracmean import _DOT_CHUNK
 from survfrac.km import MIN_RISK_SHARE, _km_rows
 
 
@@ -62,6 +61,13 @@ def random_grid(rng, max_fraction, max_knots=4):
     if uppers.size == 0:
         uppers = np.array([max_fraction / 2])
     return FractionGrid.from_uppers(uppers)
+
+
+def grid_on_steps(values):
+    """A grid with a window edge at each survival value below 1: on the
+    value where ``1 - (1 - v)`` gives ``v`` back, else within 2**-54."""
+    uppers = sorted({1.0 - v for v in values.tolist() if v < 1.0})
+    return FractionGrid.from_uppers(uppers) if uppers else None
 
 
 def step_quantile_mu(curve, grid):
@@ -192,12 +198,18 @@ def reference_fit_km(ds):
     )
 
 
-def _reference_dot(x, y):
-    """1-D product sum in chunks of ``_DOT_CHUNK``, added left to right."""
-    total = x[:_DOT_CHUNK] @ y[:_DOT_CHUNK]
-    for start in range(_DOT_CHUNK, x.size, _DOT_CHUNK):
-        total = total + x[start:start + _DOT_CHUNK] @ y[start:start + _DOT_CHUNK]
-    return float(total)
+def assert_sum_close(got, want, terms):
+    """``got`` within ``(terms + 2) * 2**-53`` of ``want`` relative, entry by
+    entry, for sums of ``terms`` nonnegative terms: two roundings per term
+    and ``terms - 1`` additions, in any order.  A NaN or infinite ``want``
+    must be met exactly."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), (got, want)
+    bound = (np.broadcast_to(terms, want.shape)[finite] + 2) * 2.0**-53
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound * np.abs(want[finite])), (
+        got, want)
 
 
 def _reference_window_masses(times, edge, gamma_hi, gamma_lo):
@@ -210,7 +222,7 @@ def _reference_window_masses(times, edge, gamma_hi, gamma_lo):
     prev = np.concatenate(([1.0], edge[:-1]))
     overlap = np.minimum(prev, gamma_hi) - np.maximum(edge, gamma_lo)
     overlap = np.maximum(overlap, 0.0)
-    return _reference_dot(times, overlap), overlap
+    return math.fsum((times * overlap).tolist()), overlap
 
 
 def reference_fraction_means(curve, grid, band=None):
@@ -270,7 +282,7 @@ def reference_restricted_mean(curve, horizon):
     starts = np.concatenate(([0.0], clipped))
     ends = np.concatenate((clipped, [horizon]))
     values = np.concatenate(([1.0], curve.survival))
-    return float(_reference_dot(values, np.maximum(ends - starts, 0.0)))
+    return math.fsum((values * np.maximum(ends - starts, 0.0)).tolist())
 
 
 def reference_ep_critical_value(a_lower, a_upper, level):
@@ -365,10 +377,12 @@ def replicate_stats(cfg, index):
     """One study replicate through the per-sample references.
 
     The per-replicate reference for the block-batched study: returns
-    (mu, computable, events, bounds, band_ok, censored) from
-    ``reference_fit_km``, ``reference_fraction_means``,
+    (mu, computable, events, bounds, band_ok, censored, steps, band_steps)
+    from ``reference_fit_km``, ``reference_fraction_means``,
     ``reference_ep_band`` and ``reference_fraction_mean_bounds``; a
-    replicate without a band gets the bounds (nan, inf).
+    replicate without a band gets the bounds (nan, inf).  ``steps`` and
+    ``band_steps`` count the terms each mass of the curve and of the band
+    edges sums.
     """
     ds = study_replicate(cfg, index)
     curve = reference_fit_km(ds)
@@ -376,11 +390,12 @@ def replicate_stats(cfg, index):
     try:
         band = reference_ep_band(curve, cfg.band_level)
         bounds = reference_fraction_mean_bounds(curve, band, cfg.grid)
-        band_ok = True
+        band_ok, band_steps = True, band.times.size
     except BandUndefinedError:
         bounds = ((math.nan, math.inf),) * cfg.grid.k
-        band_ok = False
-    return fm.mu, fm.computable, fm.events, bounds, band_ok, len(ds) - ds.n_events
+        band_ok, band_steps = False, 0
+    return (fm.mu, fm.computable, fm.events, bounds, band_ok, len(ds) - ds.n_events,
+            len(curve), band_steps)
 
 
 def reference_parse_csv(source, time_col="time", status_col="status", group_col=None):

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import reference_parse_csv, reference_render
 from survfrac import DataError, Dataset, parse_csv, split_by_group
-from survfrac.fracmean import _dot
 from survfrac.output import FORMATS, OutputDocument, Section, render
 
 # ------------------------------------------------------------------ parsing
@@ -192,16 +191,3 @@ def test_render_matches_row_reference(doc):
     for fmt in FORMATS:
         assert render(doc, fmt) == reference_render(doc, fmt), fmt
 
-
-# ----------------------------------------------------------- product sums
-
-def test_dot_keeps_short_products_and_row_form_beyond_the_chunk():
-    rng = np.random.default_rng(11)
-    x, y = rng.random(8192), rng.random(8192)
-    assert _dot(x, y) == x @ y
-    # stacked rows give each row's own chunked sum, bit for bit
-    xs, ys = rng.random((3, 20_000)), rng.random((3, 2, 20_000))
-    rows = _dot(xs[:, None, :], ys)
-    for r in range(3):
-        for j in range(2):
-            assert rows[r, j] == _dot(xs[r], ys[r, j])

@@ -3,7 +3,9 @@
 ``fit_km``, ``fraction_means``, ``fraction_mean_bounds``, ``ep_band`` and
 ``restricted_mean`` are the one-row case of the row kernels that the study
 and the bootstrap run; ``helpers`` keeps the per-sample code they replaced.
-Every result must match its reference bit for bit.
+Curves, bands, flags and counts must match their references bit for bit;
+the masses and restricted means, which the kernels sum in another order
+than the references, within the bound of ``helpers.assert_sum_close``.
 """
 
 import math
@@ -16,6 +18,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (
     _reference_window_masses,
+    assert_sum_close,
+    grid_on_steps,
     reference_ep_band,
     reference_fit_km,
     reference_fraction_mean_bounds,
@@ -34,7 +38,7 @@ from survfrac import (
     fraction_means,
     restricted_mean,
 )
-from survfrac.fracmean import _DOT_CHUNK, _window_masses
+from survfrac.fracmean import _restricted_mean_rows, _window_masses
 
 CURVE_FIELDS = ("times", "at_risk", "events", "survival", "greenwood")
 
@@ -54,11 +58,29 @@ def assert_same_bits(got, want):
     assert repr(got) == repr(want)
 
 
-def grid_on_steps(values):
-    """A grid with a window edge at each survival value below 1, where
-    ``1 - (1 - v)`` gives ``v`` back, so edges meet steps exactly."""
-    uppers = sorted({1.0 - v for v in values.tolist() if v < 1.0})
-    return FractionGrid.from_uppers(uppers) if uppers else None
+def _kinds(value):
+    return tuple(map(_kinds, value)) if isinstance(value, tuple) else type(value)
+
+
+def assert_close_sums(got, want, terms):
+    """Tuples of Python floats nested alike, each entry within the bound for
+    sums of ``terms`` terms."""
+    assert _kinds(got) == _kinds(want)
+    assert_sum_close(got, want, terms)
+
+
+def assert_close_means(got, want, steps, band_steps=None):
+    """Grid, flags and event counts bit for bit, ``mu`` within the bound for
+    ``steps`` terms and ``mu_bar`` as ``mu`` over the widths; bounds within
+    the bound for ``band_steps`` terms."""
+    assert got.grid == want.grid
+    assert_same_bits((got.computable, got.events), (want.computable, want.events))
+    assert_close_sums(got.mu, want.mu, steps)
+    assert_same_bits(got.mu_bar, tuple(m / w for m, w in zip(got.mu, got.grid.widths)))
+    if want.bounds is None:
+        assert got.bounds is None
+    else:
+        assert_close_sums(got.bounds, want.bounds, band_steps)
 
 
 def check_against_references(ds, grid, band_ranges, on_steps=False):
@@ -70,7 +92,8 @@ def check_against_references(ds, grid, band_ranges, on_steps=False):
     assert_same_curve(curve, reference_fit_km(ds))
     grids = [grid] + ([grid_on_steps(curve.survival)] if on_steps else [])
     for g in grids:
-        assert_same_bits(fraction_means(curve, g), reference_fraction_means(curve, g))
+        assert_close_means(fraction_means(curve, g), reference_fraction_means(curve, g),
+                           len(curve))
     for band_range in band_ranges:
         try:
             band = ep_band(curve, 0.9, range=band_range)
@@ -80,10 +103,11 @@ def check_against_references(ds, grid, band_ranges, on_steps=False):
             grids = [grid] + [grid_on_steps(np.minimum.accumulate(edge))
                               for edge in (band.lower, band.upper)]
         for g in filter(None, grids):
-            assert_same_bits(fraction_mean_bounds(curve, band, g),
-                             reference_fraction_mean_bounds(curve, band, g))
-            assert_same_bits(fraction_means(curve, g, band=band),
-                             reference_fraction_means(curve, g, band=band))
+            assert_close_sums(fraction_mean_bounds(curve, band, g),
+                              reference_fraction_mean_bounds(curve, band, g), band.times.size)
+            assert_close_means(fraction_means(curve, g, band=band),
+                               reference_fraction_means(curve, g, band=band),
+                               len(curve), band.times.size)
 
 
 def _dataset(times, status):
@@ -126,9 +150,9 @@ def test_one_row_functions_match_references(sample):
     check_against_references(ds, grid, band_ranges, on_steps=True)
 
 
-def test_one_row_functions_match_references_beyond_the_dot_chunk():
+def test_one_row_functions_match_references_on_a_long_curve():
     # mostly events over distinct times, so the curve and its band hold
-    # more steps than one chunk of ``_dot`` takes
+    # thousands of steps
     rng = np.random.default_rng(17)
     n = 10_000
     times = rng.permutation(n) + rng.random(n)
@@ -136,16 +160,16 @@ def test_one_row_functions_match_references_beyond_the_dot_chunk():
     ds = _dataset(times, status)
     curve = fit_km(ds)
     band = ep_band(curve, 0.9)
-    assert len(curve) > _DOT_CHUNK and band.times.size > _DOT_CHUNK
+    assert len(curve) > 9_000 and band.times.size > 9_000
     grid = FractionGrid.from_uppers([0.05, 0.3, 0.5, 0.8, 0.9])
     check_against_references(ds, grid, [None, (float(times.min()), float(times.max()))])
 
 
 @st.composite
 def _curves_with_horizons(draw):
-    """A curve, some longer than one chunk of ``_dot``, and a horizon
-    before its first step, on a step, between steps or after the last."""
-    m = draw(st.one_of(st.integers(1, 40), st.integers(_DOT_CHUNK - 2, 2 * _DOT_CHUNK + 3)))
+    """A curve, short or of thousands of steps, and a horizon before its
+    first step, on a step, between steps or after the last."""
+    m = draw(st.one_of(st.integers(1, 40), st.integers(8_190, 16_387)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = np.cumsum(rng.exponential(size=m)) + draw(st.sampled_from([0.0, 0.5]))
     survival = np.cumprod(rng.uniform(0.5, 1.0, size=m))
@@ -171,15 +195,16 @@ def _curves_with_horizons(draw):
 @given(_curves_with_horizons())
 def test_restricted_mean_matches_reference(sample):
     curve, horizon = sample
-    assert_same_bits(restricted_mean(curve, horizon),
-                     reference_restricted_mean(curve, horizon))
+    got = restricted_mean(curve, horizon)
+    assert type(got) is float
+    assert_sum_close(got, reference_restricted_mean(curve, horizon), len(curve) + 1)
 
 
 def test_window_masses_of_mixed_widths_match_each_row_alone():
-    # rows of unsorted, repeated widths, one longer than a chunk of
-    # ``_dot``; the columns past a row's width hold steps that must not count
+    # rows of unsorted, repeated widths, one of thousands of steps; the
+    # columns past a row's width hold steps that must not count
     rng = np.random.default_rng(3)
-    width = np.array([5, 1, 9, 5, 0, 9, 2, _DOT_CHUNK + 7, 5, 3])
+    width = np.array([5, 1, 9, 5, 0, 9, 2, 8_199, 5, 3])
     cols = width.max() + 4
     times = np.cumsum(rng.exponential(size=(width.size, cols)), axis=1)
     edge = np.cumprod(rng.uniform(0.3, 1.0, size=(width.size, cols)), axis=1)
@@ -195,8 +220,22 @@ def test_window_masses_of_mixed_widths_match_each_row_alone():
         for k in range(grid.k):
             want, overlap = _reference_window_masses(times[r, :w], edge[r, :w],
                                                      gammas[k], gammas[k + 1])
-            assert mass[r, k].tobytes() == np.float64(want).tobytes()
+            assert_sum_close(mass[r, k], want, w)
             assert counts[r, k] == events[r, :w][overlap > 0.0].sum()
+
+
+def test_restricted_means_of_a_block_match_each_row_alone():
+    # the bootstrap's last block may hold a single replicate; rows of more
+    # than 8 192 columns are where a lone row can be summed another way
+    rng = np.random.default_rng(4)
+    for m in (5, 9_000):
+        times = np.cumsum(rng.exponential(size=m))
+        surv = np.sort(rng.random((4, m)), axis=1)[:, ::-1]
+        horizon = float(times[-1]) + 1.0
+        block = _restricted_mean_rows(times, surv, horizon)
+        for r in range(4):
+            alone = _restricted_mean_rows(times, surv[r:r + 1], horizon)
+            assert alone.tobytes() == block[r:r + 1].tobytes()
 
 
 def test_one_row_fit_rejects_a_sample_without_events():
