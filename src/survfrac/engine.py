@@ -37,8 +37,9 @@ def _philox_rows(streams):
         yield rng
 
 
-def _map_blocks(work, total: int, block: int, workers: int) -> list:
-    """``work(span)`` for consecutive spans of ``block`` indices in [0, total).
+def _map_blocks(work, total: int, row_cells: int, workers: int) -> list:
+    """``work(span)`` for consecutive spans of [0, total), each of as many
+    rows of ``row_cells`` cells as fit ``_BLOCK_CELLS``, and at least one.
 
     Results come back in span order.  With ``workers > 1`` the spans are
     mapped over a process pool started by the platform's default method;
@@ -47,6 +48,7 @@ def _map_blocks(work, total: int, block: int, workers: int) -> list:
     worker is started at the first submit, busy or not; a single span is
     mapped in this process.
     """
+    block = max(1, _BLOCK_CELLS // row_cells)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
     workers = min(workers, len(spans))
     if workers <= 1:

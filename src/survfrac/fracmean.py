@@ -108,15 +108,13 @@ def fraction_means(
     with the leading convention S(y_0) = 1.  ``events[k]`` counts the
     observed events at steps contributing positive mass; a step straddling
     a window boundary counts in both adjacent fractions.  This is the
-    one-row case of :func:`_fraction_mean_rows`.
+    one-row case of :func:`_window_masses`.
 
     When ``band`` is given, per-fraction bounds from
     :func:`fraction_mean_bounds` are attached.
     """
-    mu, computable, events = _fraction_mean_rows(
-        curve.times[None], curve.survival[None], curve.events[None],
-        np.array([len(curve)]), grid,
-    )
+    mu, computable, events = _window_masses(curve.times[None], curve.survival[None],
+                                            np.array([len(curve)]), grid, curve.events[None])
     bounds = fraction_mean_bounds(curve, band, grid) if band is not None else None
     return FractionMeans(
         grid=grid,
@@ -158,15 +156,9 @@ def restricted_mean(curve: KmCurve, horizon: float) -> float:
     return float(_restricted_mean_rows(curve.times, curve.survival[None], horizon)[0])
 
 
-def _reaches(last, grid: FractionGrid) -> np.ndarray:
-    """Computable fractions, rows x K, of rows whose decreasing survival
-    ends at ``last``: those whose lower window edge gamma_k it reaches."""
-    return np.asarray(last)[:, None] <= np.asarray(grid.gammas[1:])
-
-
 def _window_masses(times, edge, width, grid: FractionGrid, events=None):
     """Mass of each fraction's survival window [gamma_k, gamma_{k-1}]
-    under rows of decreasing step functions: ``(mass, counts)``,
+    under rows of decreasing step functions: ``(mass, reaches, counts)``,
     ``edge.shape[:-1]`` x K.
 
     ``edge`` is ``edge[..., rows, cols]``, a stack of step functions over
@@ -178,6 +170,8 @@ def _window_masses(times, edge, width, grid: FractionGrid, events=None):
     ``t_j * (e_{j-1} - e_j)`` in one ``np.add.reduceat`` per block, and the
     two boundary steps their partial overlap.  Each sum reads only its own
     row, so a row's masses do not depend on the rows evaluated with it.
+    ``reaches`` flags the fractions whose lower edge gamma_k the row's last
+    value reaches, the computable ones; a row of width 0 reaches none.
     With ``events`` given, ``counts`` holds the events at the steps of
     positive overlap (a step straddling a window edge counts in both
     fractions), else None.
@@ -234,18 +228,7 @@ def _window_masses(times, edge, width, grid: FractionGrid, events=None):
         ev = np.zeros(term.shape, dtype=events.dtype)
         np.copyto(ev[..., :-1], events, where=value[..., :-2] > value[..., 1:-1])
         counts = window_sums(ev, np.take_along_axis(ev, cut, -1), top > 0.0, bottom > 0.0)
-    return mass, counts
-
-
-def _fraction_mean_rows(times, survival, events, steps, grid: FractionGrid):
-    """Row form of :func:`fraction_means` on the curves of
-    :func:`survfrac.km._fit_rows`: ``(mu, computable, events)``, rows x K.
-
-    Row ``r`` holds one curve's steps in its first ``steps[r]`` columns.
-    """
-    mu, counts = _window_masses(times, survival, steps, grid, events)
-    last = survival[np.arange(steps.size), steps - 1]
-    return mu, _reaches(last, grid), counts
+    return mass, value[..., -1:] <= lo, counts
 
 
 def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid):
@@ -256,10 +239,9 @@ def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid
     """
     edges = np.stack((lower, upper))
     np.minimum.accumulate(edges, axis=2, out=edges)
-    last = edges[1, np.arange(width.size), width - 1]
-    reaches = defined[:, None] & _reaches(last, grid)
-    # a row without a band holds NaN edges, so it takes no steps
-    (lo_mass, up_mass), _ = _window_masses(times, edges, np.where(defined, width, 0), grid)
+    # a row without a band holds NaN edges: at width 0 it reaches no fraction
+    (lo_mass, up_mass), (_, reaches), _ = _window_masses(
+        times, edges, np.where(defined, width, 0), grid)
     return (np.where(defined[:, None], lo_mass, np.nan),
             np.where(reaches, up_mass, np.inf))
 

@@ -17,10 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .engine import _BLOCK_CELLS, _map_blocks, _philox_rows
+from .engine import _map_blocks, _philox_rows
 from .fracmean import (
     FractionGrid,
-    _reaches,
     _restricted_mean_rows,
     _window_masses,
     fraction_means,
@@ -158,25 +157,26 @@ def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
                      seed: int, start: int, stop: int):
     """One group's statistics for replicates [start, stop).
 
-    Returns ``(mu_bar, computable, rmean, has_events)``: per-fraction means
-    and computability flags (rows x K), restricted means at ``horizon``
-    (rows, or None) and whether the replicate kept any event.
+    Returns ``(stats, computable, has_events)``: a row per replicate of the
+    per-fraction means, then the restricted mean when a horizon is given;
+    whether each of these is computable (the restricted mean always is);
+    and whether the replicate kept any event.
     """
     tot, ev = _replicate_counts(group, seed, start, stop)
     _, surv = _km_rows(tot, ev)
+    k = 0 if grid is None else grid.k
+    stats = np.empty((stop - start, k + (horizon is not None)))
+    computable = np.ones(stats.shape, dtype=bool)
     if grid is not None:
         # every column is a valid curve value: a time without events in a
         # replicate repeats the previous value and so adds no mass
-        mu, _ = _window_masses(group.times, surv, np.full(len(surv), surv.shape[1]), grid)
-        mu_bar = mu / np.asarray(grid.widths)
-        computable = _reaches(surv[:, -1], grid)
-    else:
-        mu_bar = np.empty((stop - start, 0))
-        computable = np.empty((stop - start, 0), dtype=bool)
-    rmean = None
+        mu, reaches, _ = _window_masses(
+            group.times, surv, np.full(len(surv), surv.shape[1]), grid)
+        stats[:, :k] = mu / np.asarray(grid.widths)
+        computable[:, :k] = reaches
     if horizon is not None:
-        rmean = _restricted_mean_rows(group.times, surv, horizon)
-    return mu_bar, computable, rmean, ev.any(axis=1)
+        stats[:, -1] = _restricted_mean_rows(group.times, surv, horizon)
+    return stats, computable, ev.any(axis=1)
 
 
 def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
@@ -188,12 +188,10 @@ def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
     and every column of a replicate discarded for losing all events.
     """
     start, stop = span
-    mu0, ok0, rm0, ev0 = _replicate_stats(g0, grid, horizon, seed, start, stop)
-    mu1, ok1, rm1, ev1 = _replicate_stats(g1, grid, horizon, seed, start, stop)
-    diffs = mu1 - mu0
+    stats0, ok0, ev0 = _replicate_stats(g0, grid, horizon, seed, start, stop)
+    stats1, ok1, ev1 = _replicate_stats(g1, grid, horizon, seed, start, stop)
+    diffs = stats1 - stats0
     diffs[~(ok0 & ok1)] = np.nan
-    if horizon is not None:
-        diffs = np.column_stack((diffs, rm1 - rm0))
     discarded = ~(ev0 & ev1)
     diffs[discarded] = np.nan
     return diffs, int(discarded.sum())
@@ -204,14 +202,12 @@ def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
     """All B replicate rows of :func:`_block_diffs`, in replicate order,
     and the count of discarded replicates.
 
-    Blocks hold as many replicates as fit ``_BLOCK_CELLS`` draws.  With
-    ``workers > 1`` the same blocks are mapped over a process pool, so the
-    result does not depend on it.
+    A row draws once per observation of the larger group.  A pool of
+    ``workers > 1`` maps the same blocks, with the same result.
     """
     p0, p1 = _prepare(g0), _prepare(g1)
-    block = max(1, _BLOCK_CELLS // max(len(g0), len(g1)))
     work = partial(_block_diffs, p0, p1, grid, horizon, seed)
-    diffs, discarded = zip(*_map_blocks(work, B, block, workers))
+    diffs, discarded = zip(*_map_blocks(work, B, max(len(g0), len(g1)), workers))
     return np.concatenate(diffs), sum(discarded)
 
 

@@ -9,8 +9,8 @@ from functools import partial
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .engine import _BLOCK_CELLS, _map_blocks, _philox_rows
-from .fracmean import FractionGrid, _fraction_bound_rows, _fraction_mean_rows
+from .engine import _map_blocks, _philox_rows
+from .fracmean import FractionGrid, _fraction_bound_rows, _window_masses
 from .km import _band_rows, _fit_rows, _range_widths
 
 __all__ = [
@@ -209,8 +209,8 @@ def _study_rows(times, status, grid: FractionGrid, level: float):
     kernels; rows without a band get bounds ``(nan, inf)``.
     """
     curves = _fit_rows(times, status)
-    mu, computable, events = _fraction_mean_rows(
-        curves.times, curves.survival, curves.events, curves.steps, grid)
+    mu, computable, events = _window_masses(
+        curves.times, curves.survival, curves.steps, grid, curves.events)
     width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
     coeff, lower, upper, _ = _band_rows(
         curves.survival, curves.greenwood, curves.n, width, level)
@@ -233,8 +233,7 @@ def run_study(cfg: SimConfig, workers: int = 1) -> SimSummary:
     """
     # the truth first, so a design without one fails before the study
     true_mu = true_fraction_means(cfg.alpha, cfg.beta, cfg.grid)
-    block = max(1, _BLOCK_CELLS // cfg.n)
-    parts = _map_blocks(partial(_study_block, cfg), cfg.n_datasets, block, workers)
+    parts = _map_blocks(partial(_study_block, cfg), cfg.n_datasets, cfg.n, workers)
     mu, computable, events, lower, upper, band_ok, censored = (
         np.concatenate(col) for col in zip(*parts)
     )

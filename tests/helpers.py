@@ -226,7 +226,8 @@ def _reference_window_masses(times, edge, gamma_hi, gamma_lo):
 
 
 def reference_fraction_means(curve, grid, band=None):
-    """Per-fraction loop: the reference for ``fracmean._fraction_mean_rows``."""
+    """Per-fraction loop: the reference for ``fracmean._window_masses`` on
+    a fitted curve."""
     gammas = grid.gammas
     widths = grid.widths
     s = curve.survival

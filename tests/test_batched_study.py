@@ -133,7 +133,7 @@ def test_study_block_size_does_not_change_summary(monkeypatch):
     cfg = SimConfig(n_datasets=30, n=50, seed=8)
     summaries = []
     for rows in (1, 7, cfg.n_datasets):
-        monkeypatch.setattr(sim, "_BLOCK_CELLS", rows * cfg.n)
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", rows * cfg.n)
         summaries.append(run_study(cfg))
     assert summaries[0] == summaries[1] == summaries[2]
 
@@ -141,7 +141,7 @@ def test_study_block_size_does_not_change_summary(monkeypatch):
 def test_run_study_same_for_any_worker_count(monkeypatch):
     # blocks of 7 rows, so every worker gets several spans
     cfg = SimConfig(n_datasets=40, n=60, seed=12)
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 7 * cfg.n)
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", 7 * cfg.n)
     serial = run_study(cfg, workers=1)
     assert run_study(cfg, workers=2) == serial
     assert run_study(cfg, workers=3) == serial
@@ -168,9 +168,12 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
 
     # the pool class is imported when a pool starts
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    assert engine._map_blocks(tuple, 5, 2, workers=2) == [(0, 2), (2, 4), (4, 5)]
-    assert engine._map_blocks(tuple, 5, 2, workers=4) == [(0, 2), (2, 4), (4, 5)]
-    assert engine._map_blocks(tuple, 2, 5, workers=4) == [(0, 2)]
+    with monkeypatch.context() as blocks:
+        # blocks of 10 cells: 2 rows of 5 cells, or 5 rows of 2
+        blocks.setattr(engine, "_BLOCK_CELLS", 10)
+        assert engine._map_blocks(tuple, 5, 5, workers=2) == [(0, 2), (2, 4), (4, 5)]
+        assert engine._map_blocks(tuple, 5, 5, workers=4) == [(0, 2), (2, 4), (4, 5)]
+        assert engine._map_blocks(tuple, 2, 2, workers=4) == [(0, 2)]
     assert sizes == [2, 3]
     # two samples of 20 fit one block, so the study starts no pool
     argv = ["simulate", "--n-datasets", "2", "--n", "20", "--censor-upper", "10",

@@ -182,12 +182,16 @@ def _blocks(draw):
 @given(_blocks())
 def test_window_masses_of_mixed_widths_match_exact_arithmetic(block):
     times, edge, width, events, grid = block
-    mass, counts = _window_masses(times, edge, width, grid, events)
+    mass, reaches, counts = _window_masses(times, edge, width, grid, events)
     # a stack of two edges over the same rows, the form the bounds take
-    stacked, _ = _window_masses(times, np.stack((edge, edge / 2)), width, grid)
+    stacked, stacked_reaches, _ = _window_masses(times, np.stack((edge, edge / 2)), width, grid)
     assert stacked[0].tobytes() == mass.tobytes()
+    assert np.array_equal(stacked_reaches[0], reaches)
     gammas = grid.gammas
     for r, w in enumerate(width.tolist()):
+        assert reaches[r].tolist() == [w > 0 and edge[r, w - 1] <= g for g in gammas[1:]]
+        assert stacked_reaches[1, r].tolist() == [w > 0 and edge[r, w - 1] / 2 <= g
+                                                  for g in gammas[1:]]
         for k in range(grid.k):
             hi, lo = gammas[k], gammas[k + 1]
             exact, positive = exact_window(times[r, :w], edge[r, :w], hi, lo)

@@ -210,13 +210,15 @@ def test_window_masses_of_mixed_widths_match_each_row_alone():
     edge = np.cumprod(rng.uniform(0.3, 1.0, size=(width.size, cols)), axis=1)
     events = rng.integers(1, 4, size=(width.size, cols))
     grid = FractionGrid.from_uppers([0.1, 0.35, 0.6, 0.9, 1.0])
-    mass, counts = _window_masses(times, edge, width, grid, events)
+    mass, reaches, counts = _window_masses(times, edge, width, grid, events)
     for r, w in enumerate(width.tolist()):
-        alone, alone_counts = _window_masses(times[r:r + 1], edge[r:r + 1], width[r:r + 1],
-                                             grid, events[r:r + 1])
+        alone, alone_reaches, alone_counts = _window_masses(
+            times[r:r + 1], edge[r:r + 1], width[r:r + 1], grid, events[r:r + 1])
         assert mass[r].tobytes() == alone[0].tobytes()
+        assert reaches[r].tolist() == alone_reaches[0].tolist()
         assert counts[r].tolist() == alone_counts[0].tolist()
         gammas = grid.gammas
+        assert reaches[r].tolist() == [w > 0 and edge[r, w - 1] <= g for g in gammas[1:]]
         for k in range(grid.k):
             want, overlap = _reference_window_masses(times[r, :w], edge[r, :w],
                                                      gammas[k], gammas[k + 1])
