@@ -214,13 +214,14 @@ def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
 def _percentile_ci(diffs: np.ndarray, level: float) -> tuple[float, float]:
     """Percentile interval from the order statistics of replicate diffs.
 
-    The lower endpoint is the ceil((alpha/2) * B)-th order statistic and
-    the upper its mirror B + 1 - that rank, so swapping group labels
-    reflects the interval exactly.
+    The lower endpoint is the ceil(B * (1 - level) / 2)-th order statistic
+    of the level as written (0.95 is 19/20), the upper its mirror B + 1 -
+    that rank, so swapping group labels reflects the interval exactly.
     """
+    from fractions import Fraction  # here, so that only compare loads it
+
     b = diffs.size
-    alpha = 1.0 - level
-    lo_rank = max(1, math.ceil(alpha / 2.0 * b))
+    lo_rank = max(1, math.ceil((1 - Fraction(repr(float(level)))) * b / 2))
     up_rank = b + 1 - lo_rank
     ordered = np.sort(diffs)
     return float(ordered[lo_rank - 1]), float(ordered[up_rank - 1])

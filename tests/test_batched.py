@@ -70,6 +70,28 @@ def test_fit_km_within_run_bound_of_exact_product(rows):
             assert abs(Fraction(s) - exact) <= (r + 1) * exact / 2**52
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(samples)
+def test_greenwood_within_sum_bound_of_exact_terms(rows):
+    # dyadic times, so ties stay ties.  Each term d / (n (n - d)) rounds
+    # once and each running sum once more: step j lies within (j + 1) * 2**-53
+    # of the exact sum, relative.  Where the whole risk set dies the term is
+    # inf, and so is the sum
+    times = [t / 4 for t, _ in rows]
+    status = [int(s) for _, s in rows]
+    assume(any(status))
+    curve = fit_km(Dataset(times=np.array(times), status=np.array(status)))
+    steps = list(exact_km(times, status))
+    assert len(curve.greenwood) == len(steps)
+    exact = Fraction(0)
+    for j, (g, (_, n, d, *_)) in enumerate(zip(curve.greenwood.tolist(), steps)):
+        assert (g == math.inf) == (n == d)
+        if n == d:
+            continue
+        exact += Fraction(d, n * (n - d))
+        assert abs(Fraction(g) - exact) <= (j + 1) * exact / 2**53
+
+
 def test_km_rows_carries_value_over_columns_without_events():
     # columns: event, censor-only, empty, event, empty
     tot = np.array([[2, 1, 0, 2, 0]])

@@ -36,6 +36,23 @@ class TestPercentileCi:
         # ceil(0.025*97) = ceil(2.425) = 3 -> 3rd and 95th
         assert (lo, up) == (3.0, 95.0)
 
+    def test_integer_rank_at_the_default_level(self):
+        # 1.0 - 0.95 rounds above 1/20 in floats, which took the 51st value
+        values = np.arange(1.0, 2001.0)
+        assert _percentile_ci(values, 0.95) == (50.0, 1951.0)
+        assert _percentile_ci(values, np.float64(0.95)) == (50.0, 1951.0)
+
+    @pytest.mark.parametrize("level", ["0.7", "0.8", "0.9", "0.95", "0.975", "0.99"])
+    def test_rank_is_exact_for_every_replicate_count(self, level):
+        # the lower rank ceil(b * (1 - level) / 2) in integers, with the
+        # level p / q as written
+        digits = level.split(".")[1]
+        p, q = int(digits), 10 ** len(digits)
+        values = np.arange(1.0, 5001.0)
+        for b in range(1, 5001):
+            rank = max(1, -(-b * (q - p) // (2 * q)))
+            assert _percentile_ci(values[:b], float(level)) == (rank, b + 1 - rank)
+
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(2)
         diffs = rng.normal(size=200)
