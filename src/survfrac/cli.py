@@ -289,9 +289,8 @@ def _curve_columns(curve, band):
     NaN, rendered as absent, outside the band range."""
     edges = np.full((2, len(curve)), np.nan)
     if band is not None:
-        # the band's times are the curve's times inside its range
-        inside = (curve.times >= band.range[0]) & (curve.times <= band.range[1])
-        edges[:, inside] = band.lower, band.upper
+        # the band covers the curve's first steps
+        edges[:, : band.times.size] = band.lower, band.upper
     return {
         "time": np.concatenate(([0.0], curve.times)),
         "survival": np.concatenate(([1.0], curve.survival)),

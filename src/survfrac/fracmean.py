@@ -113,6 +113,8 @@ def fraction_means(
     When ``band`` is given, per-fraction bounds from
     :func:`fraction_mean_bounds` are attached.
     """
+    if len(curve) == 0:
+        raise ValueError("curve has no steps")
     mu, computable, events = _window_masses(curve.times[None], curve.survival[None],
                                             np.array([len(curve)]), grid, curve.events[None])
     bounds = fraction_mean_bounds(curve, band, grid) if band is not None else None
@@ -141,6 +143,8 @@ def fraction_mean_bounds(
     contributes whatever mass it attains.  This is the one-row case of
     :func:`_fraction_bound_rows`.
     """
+    if band.times.size == 0:
+        raise ValueError("band has no steps")
     lower, upper = _fraction_bound_rows(
         band.times[None], band.lower[None], band.upper[None],
         np.array([band.times.size]), np.array([True]), grid,
@@ -151,8 +155,8 @@ def fraction_mean_bounds(
 def restricted_mean(curve: KmCurve, horizon: float) -> float:
     """Area under the fitted survival step function from 0 to ``horizon``;
     the one-row case of :func:`_restricted_mean_rows`."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     return float(_restricted_mean_rows(curve.times, curve.survival[None], horizon)[0])
 
 

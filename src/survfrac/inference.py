@@ -31,8 +31,6 @@ __all__ = [
     "DiffEstimate",
     "BootstrapComparison",
     "bootstrap_compare",
-    "bootstrap_fraction_diff",
-    "bootstrap_restricted_mean_diff",
 ]
 
 @dataclass(frozen=True)
@@ -300,37 +298,3 @@ def bootstrap_compare(
     if horizon is None:
         return BootstrapComparison(out, None, discarded)
     return BootstrapComparison(out[:-1], out[-1], discarded)
-
-
-def bootstrap_fraction_diff(
-    g0: Dataset,
-    g1: Dataset,
-    grid: FractionGrid,
-    B: int = 2000,
-    level: float = 0.95,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[DiffEstimate]:
-    """Bootstrap the per-fraction difference mu_bar(g1) - mu_bar(g0).
-
-    The fraction part of :func:`bootstrap_compare`.
-    """
-    return bootstrap_compare(g0, g1, grid, B=B, level=level, seed=seed,
-                             workers=workers).fractions
-
-
-def bootstrap_restricted_mean_diff(
-    g0: Dataset,
-    g1: Dataset,
-    horizon: float,
-    B: int = 2000,
-    level: float = 0.95,
-    seed: int = 0,
-    workers: int = 1,
-) -> DiffEstimate:
-    """Bootstrap the difference of restricted means at a shared horizon.
-
-    The restricted-mean part of :func:`bootstrap_compare`.
-    """
-    return bootstrap_compare(g0, g1, None, horizon=horizon, B=B, level=level,
-                             seed=seed, workers=workers).restricted

@@ -26,7 +26,7 @@ class BandUndefinedError(ValueError):
     """The requested confidence band does not exist on the given range."""
 
 
-# The default band range stops once fewer than this share of the sample
+# The band range stops once fewer than this share of the sample
 # remains at risk: the boundary-crossing approximation behind the critical
 # value needs the variance weight a(t) bounded away from 1, which fails as
 # the risk set dies out.
@@ -217,9 +217,9 @@ def quantile(curve: KmCurve, p: float) -> float | None:
 class BandPair:
     """Equal-precision confidence band on a time range.
 
-    ``lower`` and ``upper`` are step functions sharing ``times`` (the event
-    times inside the range), each clamped into [0, 1].  The curve value 1
-    applies before the first banded time.
+    ``lower`` and ``upper`` are step functions sharing ``times``, the
+    curve's first event times up to the end of ``range``, each clamped into
+    [0, 1].  The curve value 1 applies before the first banded time.
     """
 
     level: float
@@ -330,49 +330,32 @@ def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
     return coeff
 
 
-def ep_band(
-    curve: KmCurve,
-    level: float,
-    range: tuple[float, float] | None = None,
-) -> BandPair:
+def ep_band(curve: KmCurve, level: float) -> BandPair:
     """Equal-precision confidence band (linear, untransformed) for the curve.
 
     The band is S(t) -+ e_alpha * S(t) * sqrt(greenwood(t)), clamped to
-    [0, 1], valid on ``range``.  The default range runs from the first
-    event time to the last event time where survival is still positive and
-    at least ``MIN_RISK_SHARE`` of the sample remains at risk (the band is
-    undefined where the curve sits at 0 or 1, and unreliable once the risk
-    set has nearly emptied).  An explicit ``range`` is used verbatim.
+    [0, 1], over the curve's first steps: from the first event time to the
+    last event time where survival is still positive and at least
+    ``MIN_RISK_SHARE`` of the sample remains at risk (the band is undefined
+    where the curve sits at 0 or 1, and unreliable once the risk set has
+    nearly emptied).
     """
     _check_level(level)
     if len(curve) == 0:
         raise BandUndefinedError("curve has no steps")
-
-    if range is None:
-        inside = slice(None)
-        width = _range_widths(curve.survival[None], curve.at_risk[None], curve.n,
-                              [len(curve)])
-        t_lo, t_hi = float(curve.times[0]), float(curve.times[width[0] - 1])
-    else:
-        t_lo, t_hi = float(range[0]), float(range[1])
-        if t_lo > t_hi:
-            raise ValueError(f"empty band range ({t_lo}, {t_hi})")
-        inside = (curve.times >= t_lo) & (curve.times <= t_hi)
-        if not np.any(inside):
-            raise BandUndefinedError(f"no event times inside range ({t_lo}, {t_hi})")
-        width = [np.count_nonzero(inside)]
+    width = _range_widths(curve.survival[None], curve.at_risk[None], curve.n, [len(curve)])
     coeff, lower, upper, (reason,) = _band_rows(
-        curve.survival[None, inside], curve.greenwood[None, inside], curve.n, width, level)
+        curve.survival[None], curve.greenwood[None], curve.n, width, level)
     if reason is not None:
         raise BandUndefinedError(reason)
-    times = curve.times[inside][: width[0]]
+    times = curve.times[: width[0]]
     return BandPair(level=level, coefficient=float(coeff[0]), times=times,
                     lower=lower[0, : times.size], upper=upper[0, : times.size],
-                    range=(t_lo, t_hi))
+                    range=(float(times[0]), float(times[-1])))
 
 
 def _range_widths(survival, at_risk, n: int, steps) -> np.ndarray:
-    """Width of each row's default band range, rows laid out as
+    """Width of each row's band range, rows laid out as
     :class:`_CurveRows`: the columns up to the last step with positive
     survival and at least ``MIN_RISK_SHARE`` at risk, or 0 if none has."""
     cols = survival.shape[1]

@@ -277,8 +277,8 @@ def reference_fraction_mean_bounds(curve, band, grid):
 def reference_restricted_mean(curve, horizon):
     """Per-curve area to ``horizon``: the reference for
     ``fracmean._restricted_mean_rows``."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     clipped = np.minimum(curve.times, horizon)
     starts = np.concatenate(([0.0], clipped))
     ends = np.concatenate((clipped, [horizon]))
@@ -316,7 +316,7 @@ def reference_ep_critical_value(a_lower, a_upper, level):
     return 0.5 * (lo + hi)
 
 
-def reference_ep_band(curve, level, range=None):
+def reference_ep_band(curve, level):
     """Per-curve band: the reference for ``km._band_rows``.
 
     Finds the range, then checks and builds the one band with 1-D array
@@ -327,25 +327,18 @@ def reference_ep_band(curve, level, range=None):
     if len(curve) == 0:
         raise BandUndefinedError("curve has no steps")
 
-    if range is None:
-        usable = (curve.survival > 0.0) & (
-            curve.at_risk >= MIN_RISK_SHARE * curve.n
+    usable = (curve.survival > 0.0) & (
+        curve.at_risk >= MIN_RISK_SHARE * curve.n
+    )
+    if not np.any(usable):
+        raise BandUndefinedError(
+            f"no step has positive survival with at least "
+            f"{MIN_RISK_SHARE:.0%} of the sample at risk"
         )
-        if not np.any(usable):
-            raise BandUndefinedError(
-                f"no step has positive survival with at least "
-                f"{MIN_RISK_SHARE:.0%} of the sample at risk"
-            )
-        t_lo = float(curve.times[0])
-        t_hi = float(curve.times[np.nonzero(usable)[0][-1]])
-    else:
-        t_lo, t_hi = float(range[0]), float(range[1])
-        if t_lo > t_hi:
-            raise ValueError(f"empty band range ({t_lo}, {t_hi})")
+    t_lo = float(curve.times[0])
+    t_hi = float(curve.times[np.nonzero(usable)[0][-1]])
 
     inside = (curve.times >= t_lo) & (curve.times <= t_hi)
-    if not np.any(inside):
-        raise BandUndefinedError(f"no event times inside range ({t_lo}, {t_hi})")
     times = curve.times[inside]
     surv = curve.survival[inside]
     gw = curve.greenwood[inside]

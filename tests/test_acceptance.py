@@ -22,7 +22,7 @@ from survfrac import (
     Dataset,
     FractionGrid,
     SimConfig,
-    bootstrap_fraction_diff,
+    bootstrap_compare,
     ep_band,
     fit_km,
     fraction_means,
@@ -289,19 +289,19 @@ def test_criterion_6_bootstrap_determinism_and_symmetry():
     g0, g1 = _two_group_sample()
     grid = FractionGrid((0.0, 0.2, 0.4))
 
-    serial = bootstrap_fraction_diff(g0, g1, grid, B=400, seed=12)
-    again = bootstrap_fraction_diff(g0, g1, grid, B=400, seed=12)
-    parallel = bootstrap_fraction_diff(g0, g1, grid, B=400, seed=12, workers=3)
+    serial = bootstrap_compare(g0, g1, grid, B=400, seed=12).fractions
+    again = bootstrap_compare(g0, g1, grid, B=400, seed=12).fractions
+    parallel = bootstrap_compare(g0, g1, grid, B=400, seed=12, workers=3).fractions
     if serial != again:
         failures.append("rerun not identical")
     if serial != parallel:
         failures.append("parallel run not identical")
 
-    same = bootstrap_fraction_diff(g0, g0, grid, B=400, seed=12)
+    same = bootstrap_compare(g0, g0, grid, B=400, seed=12).fractions
     if any(est.point != 0.0 for est in same):
         failures.append("identical groups gave nonzero point")
 
-    swapped = bootstrap_fraction_diff(g1, g0, grid, B=400, seed=12)
+    swapped = bootstrap_compare(g1, g0, grid, B=400, seed=12).fractions
     for f, r in zip(serial, swapped):
         if r.point != -f.point:
             failures.append("swap did not negate point")
@@ -391,7 +391,7 @@ def test_criterion_8_coverage_sanity():
         u1 = rng.random(100)
         g0 = Dataset(times=np.sqrt(u0 / (1 - u0)), status=np.ones(100, dtype=np.int64))
         g1 = Dataset(times=np.sqrt(u1 / (1 - u1)), status=np.ones(100, dtype=np.int64))
-        est = bootstrap_fraction_diff(g0, g1, grid, B=200, seed=trial)[0]
+        est = bootstrap_compare(g0, g1, grid, B=200, seed=trial).fractions[0]
         if est.ci_lower <= 0.0 <= est.ci_upper:
             hits += 1
     share = hits / trials

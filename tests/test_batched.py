@@ -15,8 +15,6 @@ from survfrac import (
     Dataset,
     FractionGrid,
     bootstrap_compare,
-    bootstrap_fraction_diff,
-    bootstrap_restricted_mean_diff,
     fit_km,
     fraction_means,
     restricted_mean,
@@ -199,14 +197,6 @@ def test_one_pass_matches_per_replicate_two_pass_reference():
         lo_rank = max(1, math.ceil(0.025 * len(col)))
         assert est.ci_lower == pytest.approx(ordered[lo_rank - 1], rel=1e-12, abs=1e-15)
         assert est.ci_upper == pytest.approx(ordered[-lo_rank], rel=1e-12, abs=1e-15)
-
-
-def test_compare_equals_its_thin_callers():
-    g0, g1 = _two_groups(seed=9)
-    both = bootstrap_compare(g0, g1, GRID, horizon=0.8, B=150, seed=2)
-    assert both.fractions == bootstrap_fraction_diff(g0, g1, GRID, B=150, seed=2)
-    assert both.restricted == bootstrap_restricted_mean_diff(g0, g1, 0.8, B=150, seed=2)
-    assert bootstrap_compare(g0, g1, GRID, B=150, seed=2).restricted is None
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])

@@ -12,7 +12,7 @@ import pytest
 import survfrac
 from survfrac import (
     FractionGrid,
-    bootstrap_fraction_diff,
+    bootstrap_compare,
     fit_km,
     fraction_means,
     parse_csv,
@@ -202,9 +202,9 @@ class TestCompare:
             parse_csv(two_arm_csv, group_col="arm")
         )
         grid = FractionGrid(tuple(meta["lambdas"]))
-        direct = bootstrap_fraction_diff(
+        direct = bootstrap_compare(
             groups["allo"], groups["auto"], grid, B=150, seed=3
-        )
+        ).fractions
         rows = doc["sections"][0]["rows"]
         for row, est in zip(rows, direct):
             assert row["diff"] == est.point

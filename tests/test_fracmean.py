@@ -258,7 +258,7 @@ class TestRestrictedMean:
         curve = km_curve_of([1, 2], [1, 0])  # S = 0.5 after t=1
         assert restricted_mean(curve, 3.0) == 1.0 + 0.5 * 2.0
 
-    @pytest.mark.parametrize("h", [0.0, -1.0])
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.inf])
     def test_domain(self, h):
         curve = fit_km(uncensored([1, 2]))
         with pytest.raises(ValueError):

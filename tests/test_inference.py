@@ -6,8 +6,6 @@ from survfrac import (
     Dataset,
     FractionGrid,
     bootstrap_compare,
-    bootstrap_fraction_diff,
-    bootstrap_restricted_mean_diff,
     fit_km,
     fraction_means,
 )
@@ -64,31 +62,33 @@ class TestPercentileCi:
 class TestBootstrapFractionDiff:
     def test_identical_groups_zero_points(self):
         g = uncensored(np.arange(1.0, 31.0))
-        out = bootstrap_fraction_diff(g, g, GRID, B=200, seed=5)
+        out = bootstrap_compare(g, g, GRID, B=200, seed=5).fractions
         for est in out:
             assert est.point == 0.0
             assert est.ci_lower <= 0.0 <= est.ci_upper
 
     def test_point_is_direct_difference(self):
         g0, g1 = two_samples()
-        out = bootstrap_fraction_diff(g0, g1, GRID, B=150, seed=5)
+        out = bootstrap_compare(g0, g1, GRID, B=150, seed=5)
+        # without a horizon there is no restricted-mean difference
+        assert out.restricted is None
         fm0 = fraction_means(fit_km(g0), GRID)
         fm1 = fraction_means(fit_km(g1), GRID)
-        for k, est in enumerate(out):
+        for k, est in enumerate(out.fractions):
             assert est.point == fm1.mu_bar[k] - fm0.mu_bar[k]
 
     def test_deterministic_rerun_and_workers(self):
         g0, g1 = two_samples()
-        a = bootstrap_fraction_diff(g0, g1, GRID, B=200, seed=9)
-        b = bootstrap_fraction_diff(g0, g1, GRID, B=200, seed=9)
+        a = bootstrap_compare(g0, g1, GRID, B=200, seed=9).fractions
+        b = bootstrap_compare(g0, g1, GRID, B=200, seed=9).fractions
         assert a == b
-        c = bootstrap_fraction_diff(g0, g1, GRID, B=200, seed=9, workers=2)
+        c = bootstrap_compare(g0, g1, GRID, B=200, seed=9, workers=2).fractions
         assert a == c
 
     def test_seed_changes_resamples(self):
         g0, g1 = two_samples()
-        a = bootstrap_fraction_diff(g0, g1, GRID, B=200, seed=1)
-        b = bootstrap_fraction_diff(g0, g1, GRID, B=200, seed=2)
+        a = bootstrap_compare(g0, g1, GRID, B=200, seed=1).fractions
+        b = bootstrap_compare(g0, g1, GRID, B=200, seed=2).fractions
         assert any(
             x.ci_lower != y.ci_lower or x.ci_upper != y.ci_upper
             for x, y in zip(a, b)
@@ -96,8 +96,8 @@ class TestBootstrapFractionDiff:
 
     def test_label_swap_negates_and_reflects(self):
         g0, g1 = two_samples(seed=77)
-        fwd = bootstrap_fraction_diff(g0, g1, GRID, B=257, seed=3)
-        rev = bootstrap_fraction_diff(g1, g0, GRID, B=257, seed=3)
+        fwd = bootstrap_compare(g0, g1, GRID, B=257, seed=3).fractions
+        rev = bootstrap_compare(g1, g0, GRID, B=257, seed=3).fractions
         for f, r in zip(fwd, rev):
             assert r.point == -f.point
             assert (r.ci_lower, r.ci_upper) == (-f.ci_upper, -f.ci_lower)
@@ -106,8 +106,8 @@ class TestBootstrapFractionDiff:
     def test_label_swap_with_integer_rank(self):
         # (alpha/2) * B integral: rank symmetry must still reflect exactly
         g0, g1 = two_samples(seed=78)
-        fwd = bootstrap_fraction_diff(g0, g1, GRID, B=400, seed=3)
-        rev = bootstrap_fraction_diff(g1, g0, GRID, B=400, seed=3)
+        fwd = bootstrap_compare(g0, g1, GRID, B=400, seed=3).fractions
+        rev = bootstrap_compare(g1, g0, GRID, B=400, seed=3).fractions
         for f, r in zip(fwd, rev):
             assert (r.ci_lower, r.ci_upper) == (-f.ci_upper, -f.ci_lower)
 
@@ -120,7 +120,7 @@ class TestBootstrapFractionDiff:
             times=np.minimum(t, c), status=(t <= c).astype(np.int64)
         )
         grid = FractionGrid((0.0, 0.2, 0.9))
-        out = bootstrap_fraction_diff(heavy, heavy, grid, B=200, seed=13)
+        out = bootstrap_compare(heavy, heavy, grid, B=200, seed=13).fractions
         assert out[1].effective_replicates < out[0].effective_replicates
         assert out[1].effective_replicates < 200
         for est in out:
@@ -136,7 +136,7 @@ class TestBootstrapFractionDiff:
             status=np.array([1, 0, 0, 0]),
         )
         grid = FractionGrid((0.0, 0.2))
-        out = bootstrap_fraction_diff(tiny, tiny, grid, B=400, seed=17)
+        out = bootstrap_compare(tiny, tiny, grid, B=400, seed=17).fractions
         assert out[0].effective_replicates < 400
 
     def test_discarded_replicates_counted_apart(self):
@@ -154,33 +154,33 @@ class TestBootstrapFractionDiff:
     def test_validation(self):
         g0, g1 = two_samples()
         with pytest.raises(ValueError):
-            bootstrap_fraction_diff(g0, g1, GRID, B=50)
+            bootstrap_compare(g0, g1, GRID, B=50)
         with pytest.raises(ValueError):
-            bootstrap_fraction_diff(g0, g1, GRID, B=200, level=1.2)
+            bootstrap_compare(g0, g1, GRID, B=200, level=1.2)
 
 
 class TestBootstrapRestrictedMeanDiff:
     def test_identical_groups(self):
         g = uncensored(np.arange(1.0, 21.0))
-        est = bootstrap_restricted_mean_diff(g, g, horizon=5.0, B=150, seed=2)
+        est = bootstrap_compare(g, g, None, horizon=5.0, B=150, seed=2).restricted
         assert est.point == 0.0
         assert est.ci_lower <= 0.0 <= est.ci_upper
 
     def test_tiny_horizon_zero_everywhere(self):
         g0, g1 = two_samples(seed=91)
-        est = bootstrap_restricted_mean_diff(g0, g1, horizon=1e-9, B=150, seed=2)
+        est = bootstrap_compare(g0, g1, None, horizon=1e-9, B=150, seed=2).restricted
         assert est.point == 0.0
         assert est.ci_lower == 0.0 and est.ci_upper == 0.0
 
     def test_swap_reflects(self):
         g0, g1 = two_samples(seed=92)
-        f = bootstrap_restricted_mean_diff(g0, g1, horizon=1.0, B=201, seed=4)
-        r = bootstrap_restricted_mean_diff(g1, g0, horizon=1.0, B=201, seed=4)
+        f = bootstrap_compare(g0, g1, None, horizon=1.0, B=201, seed=4).restricted
+        r = bootstrap_compare(g1, g0, None, horizon=1.0, B=201, seed=4).restricted
         assert r.point == -f.point
         assert (r.ci_lower, r.ci_upper) == (-f.ci_upper, -f.ci_lower)
 
     def test_deterministic(self):
         g0, g1 = two_samples(seed=93)
-        a = bootstrap_restricted_mean_diff(g0, g1, horizon=1.0, B=150, seed=8)
-        b = bootstrap_restricted_mean_diff(g0, g1, horizon=1.0, B=150, seed=8)
+        a = bootstrap_compare(g0, g1, None, horizon=1.0, B=150, seed=8).restricted
+        b = bootstrap_compare(g0, g1, None, horizon=1.0, B=150, seed=8).restricted
         assert a == b

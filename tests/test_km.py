@@ -258,15 +258,6 @@ def test_band_degenerate_and_domain_errors():
         ep_band(curve, 1.0)
 
 
-def test_band_explicit_range():
-    curve = km_curve_of(np.arange(1.0, 21.0), np.ones(20))
-    band = ep_band(curve, 0.95, range=(2.0, 10.0))
-    assert band.range == (2.0, 10.0)
-    assert band.times[0] == 2.0 and band.times[-1] == 10.0
-    with pytest.raises(BandUndefinedError):
-        ep_band(curve, 0.95, range=(0.1, 0.9))
-
-
 def test_band_default_range_excludes_terminal_zero():
     curve = fit_km(uncensored([1, 2, 3, 4, 5, 6, 7, 8]))
     band = ep_band(curve, 0.95)

@@ -83,31 +83,30 @@ def assert_close_means(got, want, steps, band_steps=None):
         assert_close_sums(got.bounds, want.bounds, band_steps)
 
 
-def check_against_references(ds, grid, band_ranges, on_steps=False):
-    """Fit, fraction means and the bounds of each band range, public
-    against reference; a range without a band is skipped.  With
-    ``on_steps`` the means and bounds are also taken on grids whose edges
-    fall on the curve's and the band edges' step values."""
+def check_against_references(ds, grid, on_steps=False):
+    """Fit, fraction means and the band's bounds, public against
+    reference; the bounds are skipped without a band.  With ``on_steps``
+    the means and bounds are also taken on grids whose edges fall on the
+    curve's and the band edges' step values."""
     curve = fit_km(ds)
     assert_same_curve(curve, reference_fit_km(ds))
     grids = [grid] + ([grid_on_steps(curve.survival)] if on_steps else [])
     for g in grids:
         assert_close_means(fraction_means(curve, g), reference_fraction_means(curve, g),
                            len(curve))
-    for band_range in band_ranges:
-        try:
-            band = ep_band(curve, 0.9, range=band_range)
-        except BandUndefinedError:
-            continue
-        if on_steps:
-            grids = [grid] + [grid_on_steps(np.minimum.accumulate(edge))
-                              for edge in (band.lower, band.upper)]
-        for g in filter(None, grids):
-            assert_close_sums(fraction_mean_bounds(curve, band, g),
-                              reference_fraction_mean_bounds(curve, band, g), band.times.size)
-            assert_close_means(fraction_means(curve, g, band=band),
-                               reference_fraction_means(curve, g, band=band),
-                               len(curve), band.times.size)
+    try:
+        band = ep_band(curve, 0.9)
+    except BandUndefinedError:
+        return
+    if on_steps:
+        grids = [grid] + [grid_on_steps(np.minimum.accumulate(edge))
+                          for edge in (band.lower, band.upper)]
+    for g in filter(None, grids):
+        assert_close_sums(fraction_mean_bounds(curve, band, g),
+                          reference_fraction_mean_bounds(curve, band, g), band.times.size)
+        assert_close_means(fraction_means(curve, g, band=band),
+                           reference_fraction_means(curve, g, band=band),
+                           len(curve), band.times.size)
 
 
 def _dataset(times, status):
@@ -117,9 +116,9 @@ def _dataset(times, status):
 
 @st.composite
 def _samples(draw):
-    """A sample, a grid and band ranges: half of the samples have times on
-    a coarse lattice, so events tie with events and with censorings, and
-    some times carry censorings only."""
+    """A sample and a grid: half of the samples have times on a coarse
+    lattice, so events tie with events and with censorings, and some
+    times carry censorings only."""
     n = draw(st.integers(1, 80))
     if draw(st.booleans()):
         times = draw(hnp.arrays(float, n, elements=st.integers(0, 12).map(float)))
@@ -128,9 +127,7 @@ def _samples(draw):
     status = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
     assume(status.any())
     uppers = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6, unique=True))
-    grid = FractionGrid.from_uppers(sorted(uppers))
-    lo, hi = sorted(draw(st.lists(st.sampled_from(times.tolist()), min_size=2, max_size=2)))
-    return _dataset(times, status), grid, [None, (lo, hi)]
+    return _dataset(times, status), FractionGrid.from_uppers(sorted(uppers))
 
 
 DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
@@ -139,15 +136,15 @@ DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
 @settings(max_examples=400, deadline=None, database=None)
 @given(_samples())
 # a single event among censorings
-@example((_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 0]), DECILES, [None, (2.0, 2.0)]))
+@example((_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 0]), DECILES))
 # a terminal step that empties the risk set: survival ends at 0
-@example((_dataset([1.0, 2.0, 3.0, 3.0], [1, 0, 1, 1]), DECILES, [None, (1.0, 3.0)]))
+@example((_dataset([1.0, 2.0, 3.0, 3.0], [1, 0, 1, 1]), DECILES))
 # ties between events, and a time with censorings only
 @example((_dataset([2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0, 5.0],
-                   [1, 1, 0, 0, 0, 1, 1, 0]), DECILES, [None, (2.0, 4.0)]))
+                   [1, 1, 0, 0, 0, 1, 1, 0]), DECILES))
 def test_one_row_functions_match_references(sample):
-    ds, grid, band_ranges = sample
-    check_against_references(ds, grid, band_ranges, on_steps=True)
+    ds, grid = sample
+    check_against_references(ds, grid, on_steps=True)
 
 
 def test_one_row_functions_match_references_on_a_long_curve():
@@ -162,7 +159,7 @@ def test_one_row_functions_match_references_on_a_long_curve():
     band = ep_band(curve, 0.9)
     assert len(curve) > 9_000 and band.times.size > 9_000
     grid = FractionGrid.from_uppers([0.05, 0.3, 0.5, 0.8, 0.9])
-    check_against_references(ds, grid, [None, (float(times.min()), float(times.max()))])
+    check_against_references(ds, grid)
 
 
 @st.composite
@@ -248,10 +245,10 @@ def test_one_row_fit_rejects_a_sample_without_events():
             fit(ds)
 
 
-def band_outcome(band_fn, curve, level, band_range):
+def band_outcome(band_fn, curve, level):
     """The band's bits, or the type and text of the error that stops it."""
     try:
-        band = band_fn(curve, level, range=band_range)
+        band = band_fn(curve, level)
     except ValueError as exc:  # BandUndefinedError included
         return type(exc), str(exc)
     arrays = tuple((a.dtype.str, a.shape, a.tobytes())
@@ -294,34 +291,18 @@ def _built_curves(draw):
                    greenwood=np.array(greenwood, dtype=float), n=n)
 
 
-@st.composite
-def _curves_with_ranges(draw):
-    """A fitted or hand-built curve with None or an explicit range: on
-    steps (one step when both ends agree), between steps, reversed, or
-    with NaN or infinite ends."""
-    curve = draw(st.one_of(_fitted_curves(), _built_curves()))
-    if draw(st.booleans()):
-        return curve, None
-    ends = curve.times.tolist()
-    ends += [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-    ends += [0.0, math.nan, math.inf, -math.inf]
-    return curve, (draw(st.sampled_from(ends)), draw(st.sampled_from(ends)))
-
-
 LEVELS = st.sampled_from([1e-9, 0.5, 0.8, 0.9, 0.95, 0.99])
 STEPS = _dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 0])
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(_curves_with_ranges(), LEVELS)
+@given(st.one_of(_fitted_curves(), _built_curves()), LEVELS)
 # levels outside (0, 1)
-@example((fit_km(STEPS), None), 0.0)
-@example((fit_km(STEPS), (1.0, 3.0)), 1.0)
-@example((fit_km(STEPS), None), math.nan)
+@example(fit_km(STEPS), 0.0)
+@example(fit_km(STEPS), 1.0)
+@example(fit_km(STEPS), math.nan)
 # survival stays positive, but no step keeps 5% of the sample at risk
-@example((fit_km(_dataset(np.r_[np.ones(96), 2.0, 3.0, 4.0, 5.0],
-                          np.r_[np.zeros(96), 1, 1, 1, 1])), None), 0.95)
-def test_ep_band_matches_reference(sample, level):
-    curve, band_range = sample
-    assert band_outcome(ep_band, curve, level, band_range) == band_outcome(
-        reference_ep_band, curve, level, band_range)
+@example(fit_km(_dataset(np.r_[np.ones(96), 2.0, 3.0, 4.0, 5.0],
+                         np.r_[np.zeros(96), 1, 1, 1, 1])), 0.95)
+def test_ep_band_matches_reference(curve, level):
+    assert band_outcome(ep_band, curve, level) == band_outcome(reference_ep_band, curve, level)

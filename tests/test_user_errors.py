@@ -16,6 +16,7 @@ import pytest
 
 import survfrac.cli
 from survfrac import (
+    BandPair,
     DataError,
     Dataset,
     FractionGrid,
@@ -26,6 +27,8 @@ from survfrac import (
     ep_band,
     ep_critical_value,
     fit_km,
+    fraction_mean_bounds,
+    fraction_means,
     generate_replicate,
     loglogistic_quantile,
     max_observed_fraction,
@@ -101,13 +104,16 @@ def test_checks_on_caller_values_raise_data_error(check, message):
 EMPTY_CURVE = KmCurve(times=np.empty(0), at_risk=np.empty(0, dtype=np.int64),
                       events=np.empty(0, dtype=np.int64), survival=np.empty(0),
                       greenwood=np.empty(0), n=0)
+EMPTY_BAND = BandPair(level=0.95, coefficient=1.0, times=np.empty(0), lower=np.empty(0),
+                      upper=np.empty(0), range=(math.nan, math.nan))
 
 
 @pytest.mark.parametrize("check", [
     lambda: max_observed_fraction(EMPTY_CURVE),
+    lambda: fraction_means(EMPTY_CURVE, GRID),
+    lambda: fraction_mean_bounds(CURVE, EMPTY_BAND, GRID),
     lambda: restricted_mean(CURVE, 0.0),
     lambda: quantile(CURVE, 0.0),
-    lambda: ep_band(CURVE, 0.95, range=(3.0, 1.0)),
     lambda: render(OutputDocument(command="estimate", metadata={}, sections=[]), "xml"),
     lambda: loglogistic_quantile(1.0, 2.0, 1.0),
     lambda: true_fraction_means(0.0, 2.0, GRID),
