@@ -98,7 +98,7 @@ def cmd_estimate(args) -> OutputDocument:
     ds = _load(args)
     curve = fit_km(ds)
     max_frac = max_observed_fraction(curve)
-    grid = args.lambdas if args.lambdas is not None else decile_grid(max_frac)
+    grid = args.lambdas if args.lambdas is not None else decile_grid(float(curve.survival[-1]))
 
     notes = []
     band = None
@@ -151,8 +151,10 @@ def cmd_compare(args) -> OutputDocument:
 
     curves = fit_km(g0), fit_km(g1)
     common_max = min(max_observed_fraction(c) for c in curves)
-    requested = args.lambdas if args.lambdas is not None else decile_grid(common_max)
-    grid = truncate_grid(requested, common_max)
+    # the fractions both curves reach: those the higher-ending one reaches
+    last = max(float(c.survival[-1]) for c in curves)
+    requested = args.lambdas if args.lambdas is not None else decile_grid(last)
+    grid = truncate_grid(requested, last)
 
     horizon = None
     if args.restricted_mean == "auto":

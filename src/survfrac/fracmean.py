@@ -15,7 +15,6 @@ __all__ = [
     "FractionMeans",
     "max_observed_fraction",
     "fraction_means",
-    "fraction_mean_bounds",
     "restricted_mean",
     "truncate_grid",
     "decile_grid",
@@ -110,14 +109,26 @@ def fraction_means(
     a window boundary counts in both adjacent fractions.  This is the
     one-row case of :func:`_window_masses`.
 
-    When ``band`` is given, per-fraction bounds from
-    :func:`fraction_mean_bounds` are attached.
+    When ``band`` is given, ``bounds`` holds band-integrated bounds: the
+    same formula applied to the band's lower and upper survival edges
+    (running-minimum monotonized so the first-crossing quantile inversion
+    is well defined), the one-row case of :func:`_fraction_bound_rows`.
+    When the upper edge never descends to gamma_k inside the band no
+    finite upper bound exists and +inf is reported; the lower edge
+    contributes whatever mass it attains.
     """
     if len(curve) == 0:
         raise ValueError("curve has no steps")
     mu, computable, events = _window_masses(curve.times[None], curve.survival[None],
                                             np.array([len(curve)]), grid, curve.events[None])
-    bounds = fraction_mean_bounds(curve, band, grid) if band is not None else None
+    bounds = None
+    if band is not None:
+        if band.times.size == 0:
+            raise ValueError("band has no steps")
+        lower, upper = _fraction_bound_rows(
+            band.times[None], band.lower[None], band.upper[None],
+            np.array([band.times.size]), grid)
+        bounds = tuple(zip(lower[0].tolist(), upper[0].tolist()))
     return FractionMeans(
         grid=grid,
         mu=tuple(mu[0].tolist()),
@@ -126,30 +137,6 @@ def fraction_means(
         events=tuple(events[0].tolist()),
         bounds=bounds,
     )
-
-
-def fraction_mean_bounds(
-    curve: KmCurve,
-    band: BandPair,
-    grid: FractionGrid,
-) -> tuple[tuple[float, float], ...]:
-    """Band-integrated bounds for each fraction mean.
-
-    Applies the fraction-mean formula to the band's lower and upper
-    survival edges (restricted to the band range, running-minimum
-    monotonized so the first-crossing quantile inversion is well defined).
-    When the upper edge never descends to gamma_k inside the band range no
-    finite upper bound exists and +inf is reported; the lower edge
-    contributes whatever mass it attains.  This is the one-row case of
-    :func:`_fraction_bound_rows`.
-    """
-    if band.times.size == 0:
-        raise ValueError("band has no steps")
-    lower, upper = _fraction_bound_rows(
-        band.times[None], band.lower[None], band.upper[None],
-        np.array([band.times.size]), np.array([True]), grid,
-    )
-    return tuple(zip(lower[0].tolist(), upper[0].tolist()))
 
 
 def restricted_mean(curve: KmCurve, horizon: float) -> float:
@@ -235,18 +222,18 @@ def _window_masses(times, edge, width, grid: FractionGrid, events=None):
     return mass, value[..., -1:] <= lo, counts
 
 
-def _fraction_bound_rows(times, lower, upper, width, defined, grid: FractionGrid):
-    """Row form of :func:`fraction_mean_bounds` on the bands of
+def _fraction_bound_rows(times, lower, upper, width, grid: FractionGrid):
+    """Band-integrated bounds of :func:`fraction_means` on the bands of
     :func:`survfrac.km._band_rows`: ``(lower, upper)`` masses, rows x K.
 
-    Rows without a band get ``(nan, inf)``, as the study reports them.
+    Rows of width 0 have no band and get ``(nan, inf)``, as the study
+    reports them.
     """
     edges = np.stack((lower, upper))
     np.minimum.accumulate(edges, axis=2, out=edges)
     # a row without a band holds NaN edges: at width 0 it reaches no fraction
-    (lo_mass, up_mass), (_, reaches), _ = _window_masses(
-        times, edges, np.where(defined, width, 0), grid)
-    return (np.where(defined[:, None], lo_mass, np.nan),
+    (lo_mass, up_mass), (_, reaches), _ = _window_masses(times, edges, width, grid)
+    return (np.where(width[:, None] > 0, lo_mass, np.nan),
             np.where(reaches, up_mass, np.inf))
 
 
@@ -261,29 +248,29 @@ def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
     return values.sum(axis=1)
 
 
-_GRID_TOL = 1e-12  # slack for a fraction that rounding puts past the maximum
+def truncate_grid(grid: FractionGrid, last_survival: float) -> FractionGrid:
+    """Drop the fractions a curve ending at ``last_survival`` does not
+    reach: lambda is kept iff ``last_survival <= 1 - lambda``, the test by
+    which :func:`fraction_means` flags a fraction computable.
 
-
-def truncate_grid(grid: FractionGrid, max_fraction: float) -> FractionGrid:
-    """Drop fractions beyond ``max_fraction``.
-
-    Used for group comparisons, which are restricted to the last fraction
-    commonly observed in every group.
+    Used for group comparisons, which are restricted to the fractions
+    every group reaches, so ``last_survival`` is the largest of the groups'.
     """
-    kept = tuple(lam for lam in grid.lambdas if lam <= max_fraction + _GRID_TOL)
+    kept = tuple(lam for lam in grid.lambdas if last_survival <= 1.0 - lam)
     if len(kept) < 2:
         raise DataError(
-            f"no grid fraction lies within max observed fraction {max_fraction:.6g}"
+            f"no grid fraction lies within max observed fraction {1.0 - last_survival:.6g}"
         )
     return FractionGrid(kept)
 
 
-def decile_grid(max_fraction: float) -> FractionGrid:
-    """Deciles {0.1, 0.2, ...} up to ``max_fraction`` (at most 1.0)."""
-    uppers = [k / 10 for k in range(1, 11) if k / 10 <= max_fraction + _GRID_TOL]
+def decile_grid(last_survival: float) -> FractionGrid:
+    """The deciles {0.1, 0.2, ...} that a curve ending at ``last_survival``
+    reaches, as :func:`truncate_grid` keeps them."""
+    uppers = [k / 10 for k in range(1, 11) if last_survival <= 1.0 - k / 10]
     if not uppers:
         raise DataError(
-            f"max observed fraction {max_fraction:.6g} is below the first decile; "
+            f"max observed fraction {1.0 - last_survival:.6g} is below the first decile; "
             "supply explicit proportions"
         )
     return FractionGrid.from_uppers(uppers)

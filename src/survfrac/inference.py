@@ -245,17 +245,6 @@ def _estimate(point: float, col: np.ndarray, B: int, level: float) -> DiffEstima
     )
 
 
-def _check_bootstrap_args(grid, horizon, B: int, level: float) -> None:
-    """The argument checks of :func:`bootstrap_compare`."""
-    if B < 100:
-        raise DataError(f"need at least 100 bootstrap replicates, got {B}")
-    _check_level(level)
-    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
-        raise DataError(f"horizon must be finite and positive, got {horizon}")
-    if grid is None and horizon is None:
-        raise DataError("nothing to compare: give a grid, a horizon or both")
-
-
 def bootstrap_compare(
     g0: Dataset,
     g1: Dataset,
@@ -283,7 +272,13 @@ def bootstrap_compare(
 
     Deterministic given (inputs, B, level, seed), for any ``workers``.
     """
-    _check_bootstrap_args(grid, horizon, B, level)
+    if B < 100:
+        raise DataError(f"need at least 100 bootstrap replicates, got {B}")
+    _check_level(level)
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise DataError(f"horizon must be finite and positive, got {horizon}")
+    if grid is None and horizon is None:
+        raise DataError("nothing to compare: give a grid, a horizon or both")
     c0, c1 = curves if curves is not None else (fit_km(g0), fit_km(g1))
     points: list[float] = []
     if grid is not None:

@@ -215,10 +215,11 @@ def quantile(curve: KmCurve, p: float) -> float | None:
 
 @dataclass(frozen=True)
 class BandPair:
-    """Equal-precision confidence band on a time range.
+    """Equal-precision confidence band over the curve's first steps.
 
     ``lower`` and ``upper`` are step functions sharing ``times``, the
-    curve's first event times up to the end of ``range``, each clamped into
+    curve's event times up to the last one with positive survival and at
+    least ``MIN_RISK_SHARE`` of the sample at risk, each clamped into
     [0, 1].  The curve value 1 applies before the first banded time.
     """
 
@@ -227,7 +228,6 @@ class BandPair:
     times: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    range: tuple[float, float]
 
     def __post_init__(self):
         for name in ("times", "lower", "upper"):
@@ -338,44 +338,37 @@ def ep_band(curve: KmCurve, level: float) -> BandPair:
     last event time where survival is still positive and at least
     ``MIN_RISK_SHARE`` of the sample remains at risk (the band is undefined
     where the curve sits at 0 or 1, and unreliable once the risk set has
-    nearly emptied).
+    nearly emptied).  This is the one-row case of :func:`_band_rows`.
     """
     _check_level(level)
     if len(curve) == 0:
         raise BandUndefinedError("curve has no steps")
-    width = _range_widths(curve.survival[None], curve.at_risk[None], curve.n, [len(curve)])
-    coeff, lower, upper, (reason,) = _band_rows(
-        curve.survival[None], curve.greenwood[None], curve.n, width, level)
+    (width,), coeff, lower, upper, (reason,) = _band_rows(
+        curve.survival[None], curve.greenwood[None], curve.at_risk[None], curve.n,
+        [len(curve)], level)
     if reason is not None:
         raise BandUndefinedError(reason)
-    times = curve.times[: width[0]]
-    return BandPair(level=level, coefficient=float(coeff[0]), times=times,
-                    lower=lower[0, : times.size], upper=upper[0, : times.size],
-                    range=(float(times[0]), float(times[-1])))
+    return BandPair(level=level, coefficient=float(coeff[0]), times=curve.times[:width],
+                    lower=lower[0, :width], upper=upper[0, :width])
 
 
-def _range_widths(survival, at_risk, n: int, steps) -> np.ndarray:
-    """Width of each row's band range, rows laid out as
-    :class:`_CurveRows`: the columns up to the last step with positive
-    survival and at least ``MIN_RISK_SHARE`` at risk, or 0 if none has."""
-    cols = survival.shape[1]
-    usable = ((survival > 0.0) & (at_risk >= MIN_RISK_SHARE * n)
-              & (np.arange(cols) < np.asarray(steps)[:, None]))
-    return np.where(usable.any(axis=1), cols - np.argmax(usable[:, ::-1], axis=1), 0)
+def _band_rows(survival, greenwood, at_risk, n: int, steps, level: float):
+    """Equal-precision bands on rows of curves of sample size ``n``, laid
+    out as :class:`_CurveRows`.  A row's range is its columns up to the
+    last step with positive survival and at least ``MIN_RISK_SHARE`` of
+    the sample at risk.
 
-
-def _band_rows(survival, greenwood, n: int, width, level: float):
-    """Equal-precision bands on rows of curves of sample size ``n``: row
-    ``r``'s range is its first ``width[r]`` columns, and every row has a
-    column.  :func:`ep_band` is the one-row case.
-
-    Returns ``(coeff, lower, upper, reasons)``: the critical value per row
-    (NaN without a band), the clamped edges over all columns, and per row
+    Returns ``(width, coeff, lower, upper, reasons)``: per row the width
+    of the band, 0 exactly where the row has none, and the critical value
+    (NaN without a band); the clamped edges over all columns; and per row
     None where the band exists or the reason it does not.
     """
-    width = np.asarray(width)
     rows, cols = survival.shape
-    inside = np.arange(cols) < width[:, None]
+    column = np.arange(cols)
+    usable = ((survival > 0.0) & (at_risk >= MIN_RISK_SHARE * n)
+              & (column < np.asarray(steps)[:, None]))
+    width = np.where(usable.any(axis=1), cols - np.argmax(usable[:, ::-1], axis=1), 0)
+    inside = column < width[:, None]
     at_zero = np.any(inside & ((survival <= 0.0) | ~np.isfinite(greenwood)), axis=1)
     with np.errstate(invalid="ignore"):
         a_vals = n * greenwood / (1.0 + n * greenwood)
@@ -397,5 +390,6 @@ def _band_rows(survival, greenwood, n: int, width, level: float):
             reasons[r] = _unsolved(lo, hi)
     with np.errstate(invalid="ignore"):
         half_width = coeff[:, None] * survival * np.sqrt(greenwood)
-    return (coeff, np.clip(survival - half_width, 0.0, 1.0),
+    return (np.where(np.isnan(coeff), 0, width), coeff,
+            np.clip(survival - half_width, 0.0, 1.0),
             np.clip(survival + half_width, 0.0, 1.0), reasons)

@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import DataError, Dataset
 from .engine import _map_blocks, _philox_rows
 from .fracmean import FractionGrid, _fraction_bound_rows, _window_masses
-from .km import _band_rows, _fit_rows, _range_widths
+from .km import _band_rows, _fit_rows
 
 __all__ = [
     "SimConfig",
@@ -211,13 +211,11 @@ def _study_rows(times, status, grid: FractionGrid, level: float):
     curves = _fit_rows(times, status)
     mu, computable, events = _window_masses(
         curves.times, curves.survival, curves.steps, grid, curves.events)
-    width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
-    coeff, lower, upper, _ = _band_rows(
-        curves.survival, curves.greenwood, curves.n, width, level)
-    band_ok = ~np.isnan(coeff)
-    low, up = _fraction_bound_rows(curves.times, lower, upper, width, band_ok, grid)
+    width, _, lower, upper, _ = _band_rows(curves.survival, curves.greenwood,
+                                           curves.at_risk, curves.n, curves.steps, level)
+    low, up = _fraction_bound_rows(curves.times, lower, upper, width, grid)
     censored = times.shape[1] - status.sum(axis=1)
-    return mu, computable, events, low, up, band_ok, censored
+    return mu, computable, events, low, up, width > 0, censored
 
 
 def _study_block(cfg: SimConfig, span):

@@ -243,7 +243,7 @@ def reference_fraction_means(curve, grid, band=None):
         computable.append(bool(np.any(s <= lo)))
         events.append(int(d[overlap > 0.0].sum()))
 
-    bounds = (reference_fraction_mean_bounds(curve, band, grid)
+    bounds = (reference_fraction_mean_bounds(band, grid)
               if band is not None else None)
     return FractionMeans(
         grid=grid,
@@ -255,7 +255,7 @@ def reference_fraction_means(curve, grid, band=None):
     )
 
 
-def reference_fraction_mean_bounds(curve, band, grid):
+def reference_fraction_mean_bounds(band, grid):
     """Per-fraction loop: the reference for ``fracmean._fraction_bound_rows``."""
     lower_edge = np.minimum.accumulate(band.lower)
     upper_edge = np.minimum.accumulate(band.upper)
@@ -363,7 +363,6 @@ def reference_ep_band(curve, level):
         times=times,
         lower=lower,
         upper=upper,
-        range=(t_lo, t_hi),
     )
 
 
@@ -383,7 +382,7 @@ def replicate_stats(cfg, index):
     fm = reference_fraction_means(curve, cfg.grid)
     try:
         band = reference_ep_band(curve, cfg.band_level)
-        bounds = reference_fraction_mean_bounds(curve, band, cfg.grid)
+        bounds = reference_fraction_mean_bounds(band, cfg.grid)
         band_ok, band_steps = True, band.times.size
     except BandUndefinedError:
         bounds = ((math.nan, math.inf),) * cfg.grid.k

@@ -262,8 +262,7 @@ def test_criterion_5_property_suite():
             except BandUndefinedError:
                 continue
             tested += 1
-            inside = (curve.times >= band.range[0]) & (curve.times <= band.range[1])
-            s = curve.survival[inside]
+            s = curve.survival[: band.times.size]
             if not (
                 np.all(band.lower <= s + 1e-15)
                 and np.all(s <= band.upper + 1e-15)

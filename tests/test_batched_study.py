@@ -29,7 +29,7 @@ from survfrac import (
 )
 from survfrac import engine, sim
 from survfrac.cli import main
-from survfrac.km import _band_rows, _fit_rows, _range_widths
+from survfrac.km import _band_rows, _fit_rows
 
 DESIGNS = {
     "n30": SimConfig(n_datasets=80, n=30, seed=1),
@@ -76,10 +76,10 @@ def test_study_rows_merge_tied_times_like_fit_km():
     assert all(np.unique(t).size < t.size for t in times[:60])
 
     curves = _fit_rows(times, status)
-    width = _range_widths(curves.survival, curves.at_risk, curves.n, curves.steps)
-    _, band_lower, band_upper, reasons = _band_rows(
-        curves.survival, curves.greenwood, curves.n, width, level)
+    width, _, band_lower, band_upper, reasons = _band_rows(
+        curves.survival, curves.greenwood, curves.at_risk, curves.n, curves.steps, level)
     defined = np.array([reason is None for reason in reasons])
+    assert np.array_equal(width == 0, ~defined)
     mu, computable, events, lower, upper, band_ok, censored = sim._study_rows(
         times, status, grid, level
     )
@@ -106,7 +106,7 @@ def test_study_rows_merge_tied_times_like_fit_km():
         w = width[r]
         assert band_lower[r, :w].tolist() == band.lower.tolist()
         assert band_upper[r, :w].tolist() == band.upper.tolist()
-        bounds = reference_fraction_mean_bounds(curve, band, grid)
+        bounds = reference_fraction_mean_bounds(band, grid)
         assert_sum_close(lower[r], [b[0] for b in bounds], w)
         assert_sum_close(upper[r], [b[1] for b in bounds], w)
 

@@ -89,6 +89,17 @@ class TestEstimate:
         doc = json.loads(out)
         assert doc["metadata"]["lambdas"] == [0.0] + [k / 10 for k in range(1, 11)]
 
+    def test_default_grid_stops_where_the_curve_ends(self, run, tmp_path):
+        # the float curve ends at 0.7000000000000001, above 1 - 0.3
+        p = tmp_path / "eight.csv"
+        p.write_text("time,status\n1,1\n2,0\n2,0\n3,1\n4,0\n4,0\n4,0\n4,0\n")
+        code, out, _ = run("estimate", "--input", str(p), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["metadata"]["max_observed_fraction"] == 0.29999999999999993
+        assert doc["metadata"]["lambdas"] == [0.0, 0.1, 0.2]
+        assert all(row["computable"] for row in doc["sections"][0]["rows"])
+
     def test_missing_input_flag_usage_error(self, simple_csv):
         with pytest.raises(SystemExit) as exc:
             main(["estimate"])

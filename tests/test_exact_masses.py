@@ -24,7 +24,6 @@ from survfrac import (
     FractionGrid,
     ep_band,
     fit_km,
-    fraction_mean_bounds,
     fraction_means,
     restricted_mean,
 )
@@ -71,10 +70,10 @@ def check_curve(curve, grid, horizons=()):
 
 
 def check_band(curve, band, grid):
-    """``fraction_mean_bounds`` of the running-minimum band edges: the lower
-    edge's masses, and the upper edge's where it reaches the window, else
-    ``inf``."""
-    bounds = fraction_mean_bounds(curve, band, grid)
+    """The bounds ``fraction_means`` attaches for the band, from its
+    running-minimum edges: the lower edge's masses, and the upper edge's
+    where it reaches the window, else ``inf``."""
+    bounds = fraction_means(curve, grid, band=band).bounds
     lower = np.minimum.accumulate(band.lower)
     upper = np.minimum.accumulate(band.upper)
     gammas = grid.gammas

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     km_curve_of,
@@ -13,12 +16,12 @@ from helpers import (
 )
 from survfrac import (
     BandUndefinedError,
+    DataError,
     Dataset,
     FractionGrid,
     decile_grid,
     ep_band,
     fit_km,
-    fraction_mean_bounds,
     fraction_means,
     max_observed_fraction,
     restricted_mean,
@@ -47,19 +50,68 @@ class TestFractionGrid:
 
     def test_truncate(self):
         g = FractionGrid((0.0, 0.2, 0.4, 0.6))
-        assert truncate_grid(g, 0.45).lambdas == (0.0, 0.2, 0.4)
-        assert truncate_grid(g, 0.4).lambdas == (0.0, 0.2, 0.4)
+        assert truncate_grid(g, 0.55).lambdas == (0.0, 0.2, 0.4)
+        assert truncate_grid(g, 0.6).lambdas == (0.0, 0.2, 0.4)
         with pytest.raises(ValueError):
-            truncate_grid(g, 0.1)
+            truncate_grid(g, 0.9)
 
     def test_deciles(self):
-        assert decile_grid(1.0).lambdas == (0.0,) + tuple(
+        assert decile_grid(0.0).lambdas == (0.0,) + tuple(
             k / 10 for k in range(1, 11)
         )
-        assert decile_grid(0.85).lambdas[-1] == 0.8
-        assert decile_grid(0.8).lambdas[-1] == 0.8
+        assert decile_grid(0.15).lambdas[-1] == 0.8
+        assert decile_grid(0.5).lambdas[-1] == 0.5
+        # 1 - 0.8 rounds below 0.2: a curve ending at 0.2 does not reach 0.8
+        assert decile_grid(0.2).lambdas[-1] == 0.7
         with pytest.raises(ValueError):
-            decile_grid(0.05)
+            decile_grid(0.95)
+
+
+DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
+# the exact curve ends at 7/10, the float curve at 0.7000000000000001
+EIGHT_ROWS = Dataset(times=np.array([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0]),
+                     status=np.array([1, 0, 0, 1, 0, 0, 0, 0]))
+
+
+@st.composite
+def _lattice_samples(draw):
+    """Samples on a lattice of 8 times, so events tie with censorings."""
+    n = draw(st.integers(1, 40))
+    times = draw(hnp.arrays(float, n, elements=st.integers(1, 8).map(float)))
+    status = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    assume(status.any())
+    return Dataset(times=times, status=status)
+
+
+def _grid_or_none(build, *args):
+    try:
+        return build(*args)
+    except DataError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(first=_lattice_samples(), second=_lattice_samples())
+@example(first=EIGHT_ROWS, second=EIGHT_ROWS)
+def test_default_grids_hold_exactly_the_reached_deciles(first, second):
+    """``decile_grid`` holds the deciles a curve reaches, by the flag of
+    ``fraction_means``, and ``truncate_grid`` those that both curves of a
+    comparison reach; neither grid has a fraction flagged not computable."""
+    curves = fit_km(first), fit_km(second)
+    reached = [fraction_means(c, DECILES).computable for c in curves]
+    for curve, flags in zip(curves, reached):
+        want = [lam for lam, hit in zip(DECILES.lambdas[1:], flags) if hit]
+        grid = _grid_or_none(decile_grid, float(curve.survival[-1]))
+        assert (None if grid is None else list(grid.lambdas[1:])) == (want or None)
+        if grid is not None:
+            assert all(fraction_means(curve, grid).computable)
+    last = max(float(c.survival[-1]) for c in curves)
+    want = [lam for lam, a, b in zip(DECILES.lambdas[1:], *reached) if a and b]
+    grid = _grid_or_none(truncate_grid, DECILES, last)
+    assert (None if grid is None else list(grid.lambdas[1:])) == (want or None)
+    if grid is not None:
+        for curve in curves:
+            assert all(fraction_means(curve, grid).computable)
 
 
 class TestMaxObservedFraction:
@@ -215,24 +267,17 @@ class TestBounds:
         curve = km_curve_of([1, 2, 9, 10, 11, 12], [1, 1, 0, 0, 0, 0])
         band = ep_band(curve, 0.95)
         grid = FractionGrid((0.0, 0.9,))
-        (lo, up), = fraction_mean_bounds(curve, band, grid)
+        (lo, up), = fraction_means(curve, grid, band=band).bounds
         assert math.isinf(up)
         assert lo >= 0.0
 
     def test_bounds_widen_with_level(self):
         curve = km_curve_of(np.arange(1.0, 41.0), np.ones(40))
         grid = FractionGrid((0.0, 0.5))
-        lo90, up90 = fraction_mean_bounds(curve, ep_band(curve, 0.90), grid)[0]
-        lo99, up99 = fraction_mean_bounds(curve, ep_band(curve, 0.99), grid)[0]
+        (lo90, up90), = fraction_means(curve, grid, band=ep_band(curve, 0.90)).bounds
+        (lo99, up99), = fraction_means(curve, grid, band=ep_band(curve, 0.99)).bounds
         assert lo99 < lo90
         assert up99 > up90
-
-    def test_attached_by_fraction_means(self):
-        curve = km_curve_of(np.arange(1.0, 31.0), np.ones(30))
-        band = ep_band(curve, 0.95)
-        grid = FractionGrid((0.0, 0.4, 0.8))
-        fm = fraction_means(curve, grid, band=band)
-        assert fm.bounds == fraction_mean_bounds(curve, band, grid)
 
 
 class TestRestrictedMean:

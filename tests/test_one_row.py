@@ -1,6 +1,6 @@
 """The public per-sample functions against their per-sample references.
 
-``fit_km``, ``fraction_means``, ``fraction_mean_bounds``, ``ep_band`` and
+``fit_km``, ``fraction_means`` (with and without a band), ``ep_band`` and
 ``restricted_mean`` are the one-row case of the row kernels that the study
 and the bootstrap run; ``helpers`` keeps the per-sample code they replaced.
 Curves, bands, flags and counts must match their references bit for bit;
@@ -22,7 +22,6 @@ from helpers import (
     grid_on_steps,
     reference_ep_band,
     reference_fit_km,
-    reference_fraction_mean_bounds,
     reference_fraction_means,
     reference_restricted_mean,
 )
@@ -34,7 +33,6 @@ from survfrac import (
     KmCurve,
     ep_band,
     fit_km,
-    fraction_mean_bounds,
     fraction_means,
     restricted_mean,
 )
@@ -102,8 +100,6 @@ def check_against_references(ds, grid, on_steps=False):
         grids = [grid] + [grid_on_steps(np.minimum.accumulate(edge))
                           for edge in (band.lower, band.upper)]
     for g in filter(None, grids):
-        assert_close_sums(fraction_mean_bounds(curve, band, g),
-                          reference_fraction_mean_bounds(curve, band, g), band.times.size)
         assert_close_means(fraction_means(curve, g, band=band),
                            reference_fraction_means(curve, g, band=band),
                            len(curve), band.times.size)
@@ -253,7 +249,7 @@ def band_outcome(band_fn, curve, level):
         return type(exc), str(exc)
     arrays = tuple((a.dtype.str, a.shape, a.tobytes())
                    for a in (band.times, band.lower, band.upper))
-    return repr((band.level, band.coefficient, band.range)), arrays
+    return repr((band.level, band.coefficient)), arrays
 
 
 @st.composite

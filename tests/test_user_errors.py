@@ -27,7 +27,6 @@ from survfrac import (
     ep_band,
     ep_critical_value,
     fit_km,
-    fraction_mean_bounds,
     fraction_means,
     generate_replicate,
     loglogistic_quantile,
@@ -56,9 +55,9 @@ DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
      "grid proportions cannot be NaN: (0.0, 0.5, nan)"),
     (lambda: FractionGrid.from_uppers([math.nan]),
      "grid proportions cannot be NaN: (0.0, nan)"),
-    (lambda: truncate_grid(GRID, 0.3),
+    (lambda: truncate_grid(GRID, 0.7),
      "no grid fraction lies within max observed fraction 0.3"),
-    (lambda: decile_grid(0.05),
+    (lambda: decile_grid(0.95),
      "max observed fraction 0.05 is below the first decile; "
      "supply explicit proportions"),
     (lambda: ep_band(CURVE, 1.5), "level must be in (0, 1), got 1.5"),
@@ -105,13 +104,13 @@ EMPTY_CURVE = KmCurve(times=np.empty(0), at_risk=np.empty(0, dtype=np.int64),
                       events=np.empty(0, dtype=np.int64), survival=np.empty(0),
                       greenwood=np.empty(0), n=0)
 EMPTY_BAND = BandPair(level=0.95, coefficient=1.0, times=np.empty(0), lower=np.empty(0),
-                      upper=np.empty(0), range=(math.nan, math.nan))
+                      upper=np.empty(0))
 
 
 @pytest.mark.parametrize("check", [
     lambda: max_observed_fraction(EMPTY_CURVE),
     lambda: fraction_means(EMPTY_CURVE, GRID),
-    lambda: fraction_mean_bounds(CURVE, EMPTY_BAND, GRID),
+    lambda: fraction_means(CURVE, GRID, band=EMPTY_BAND),
     lambda: restricted_mean(CURVE, 0.0),
     lambda: quantile(CURVE, 0.0),
     lambda: render(OutputDocument(command="estimate", metadata={}, sections=[]), "xml"),
