@@ -19,14 +19,15 @@ from .fracmean import (
     truncate_grid,
 )
 from .inference import bootstrap_compare
-from .km import BandUndefinedError, ep_band, fit_km
+from .km import MIN_RISK_SHARE, BandUndefinedError, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
 from .sim import SimConfig, run_study
 
 CONVENTIONS = {
     "tie_rule": "events-before-censorings",
     "band_variant": "nair-equal-precision-untransformed",
-    "band_range": "first-event-to-last-event-with-positive-survival-and-5pct-at-risk",
+    "band_range": ("first-event-to-last-event-with-positive-survival-and-"
+                   f"{MIN_RISK_SHARE * 100:.0f}pct-at-risk"),
     "upper_bound_averaging": "finite-values-only",
     "noncomputable_fractions": "flagged-partial-sums",
 }
@@ -150,8 +151,8 @@ def cmd_compare(args) -> OutputDocument:
     g0, g1 = groups[args.ref_group], groups[other]
 
     curves = fit_km(g0), fit_km(g1)
-    common_max = min(max_observed_fraction(c) for c in curves)
-    # the fractions both curves reach: those the higher-ending one reaches
+    # the fractions both curves reach: those the higher-ending one reaches.
+    # fl(1 - x) is monotone, so 1 - last is the smaller max observed fraction
     last = max(float(c.survival[-1]) for c in curves)
     requested = args.lambdas if args.lambdas is not None else decile_grid(last)
     grid = truncate_grid(requested, last)
@@ -192,7 +193,7 @@ def cmd_compare(args) -> OutputDocument:
         ref_group=args.ref_group,
         comparison_group=other,
         group_sizes={label: len(g) for label, g in ((args.ref_group, g0), (other, g1))},
-        common_max_fraction=common_max,
+        common_max_fraction=1.0 - last,
         lambdas=list(grid.lambdas),
         bootstrap=args.bootstrap,
         discarded_replicates=result.discarded_replicates,
@@ -203,17 +204,18 @@ def cmd_compare(args) -> OutputDocument:
     return OutputDocument(command="compare", metadata=meta, sections=sections)
 
 
-# simulate's settings in config-file and flag order: key -> (type, default,
-# flag help); a default of None leaves the value to SimConfig
+# simulate's settings in config-file and flag order: key -> (type, flag
+# help); a setting the config file and flags leave out keeps SimConfig's
+# default
 _SIM_SETTINGS = {
-    "n_datasets": (int, 500, None),
-    "n": (int, 200, "sample size per dataset"),
-    "alpha": (float, None, "log-logistic scale"),
-    "beta": (float, None, "log-logistic shape"),
-    "censor_upper": (float, None, "upper end of the uniform censoring range"),
-    "lambdas": (_parse_lambdas, None, "comma-separated fraction endpoints"),
-    "band_level": (float, None, None),
-    "seed": (int, None, None),
+    "n_datasets": (int, None),
+    "n": (int, "sample size per dataset"),
+    "alpha": (float, "log-logistic scale"),
+    "beta": (float, "log-logistic shape"),
+    "censor_upper": (float, "upper end of the uniform censoring range"),
+    "lambdas": (_parse_lambdas, "comma-separated fraction endpoints"),
+    "band_level": (float, None),
+    "seed": (int, None),
 }
 
 
@@ -247,10 +249,7 @@ def _read_sim_config(path: str) -> dict:
 
 
 def cmd_simulate(args) -> OutputDocument:
-    settings = {key: default for key, (_, default, _) in _SIM_SETTINGS.items()
-                if default is not None}
-    if args.config:
-        settings.update(_read_sim_config(args.config))
+    settings = _read_sim_config(args.config) if args.config else {}
     settings.update((key, getattr(args, key)) for key in _SIM_SETTINGS
                     if getattr(args, key) is not None)
     if "lambdas" in settings:
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="Monte Carlo estimator study")
     sim.add_argument("--config", default=None,
                      help="key-value config file (flags override)")
-    for key, (kind, _, text) in _SIM_SETTINGS.items():
+    for key, (kind, text) in _SIM_SETTINGS.items():
         sim.add_argument("--" + key.replace("_", "-"), type=kind, default=None, help=text)
     sim.add_argument("--workers", type=_worker_count, default=1)
     sim.add_argument("--format", choices=FORMATS, default=None)

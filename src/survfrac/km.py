@@ -18,7 +18,6 @@ __all__ = [
     "survival_at",
     "quantile",
     "ep_band",
-    "ep_critical_value",
 ]
 
 
@@ -265,12 +264,19 @@ def _above(x: np.ndarray, log_ratio: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
-    """Row form of :func:`ep_critical_value`: e_alpha for each pair
-    ``(a_lower[r], a_upper[r])``, NaN where the pair lies outside
-    0 < a_L < a_U < 1 or no bracket closes below 1e3.
+    """Two-sided equal-precision critical coefficient e_alpha for each
+    pair ``(a_lower[r], a_upper[r])``.
 
+    Solves the Brownian-bridge boundary-crossing approximation
+
+        alpha = phi(e) * [ (e - 1/e) * log(a_U (1-a_L) / (a_L (1-a_U))) + 4/e ]
+
+    for e by bisection to absolute tolerance ``_EP_TOL``; NaN where the
+    pair lies outside 0 < a_L < a_U < 1 or no bracket closes below 1e3.
     Every row runs the scalar bracket and bisection, all rows at once; a
-    row that has stopped is carried along unchanged.
+    row that has stopped is carried along unchanged.  Every band's
+    coefficient comes from here, through :func:`_band_rows`; a tabulated
+    coefficient can be substituted here if preferred.
     """
     alpha = 1.0 - level
     a_lower = np.asarray(a_lower, dtype=float)
@@ -302,31 +308,6 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
         hi = np.where(active & ~up, mid, hi)
         active &= hi - lo > _EP_TOL
     coeff[rows[bracketed]] = (0.5 * (lo + hi))[bracketed]
-    return coeff
-
-
-def _unsolved(a_lower, a_upper) -> str:
-    """Why :func:`_critical_rows` gives no value for the pair."""
-    if not 0.0 < a_lower < a_upper < 1.0:
-        return f"band requires 0 < a_L < a_U < 1, got ({a_lower}, {a_upper})"
-    return "critical value solve failed to bracket"
-
-
-def ep_critical_value(a_lower: float, a_upper: float, level: float) -> float:
-    """Two-sided equal-precision critical coefficient e_alpha.
-
-    Solves the Brownian-bridge boundary-crossing approximation
-
-        alpha = phi(e) * [ (e - 1/e) * log(a_U (1-a_L) / (a_L (1-a_U))) + 4/e ]
-
-    for e by bisection to absolute tolerance ``_EP_TOL``.  This is the
-    one-row case of :func:`_critical_rows`, which every band calls; a
-    tabulated coefficient can be substituted there if preferred.
-    """
-    _check_level(level)
-    coeff = float(_critical_rows([a_lower], [a_upper], level)[0])
-    if math.isnan(coeff):
-        raise BandUndefinedError(_unsolved(a_lower, a_upper))
     return coeff
 
 
@@ -386,8 +367,10 @@ def _band_rows(survival, greenwood, at_risk, n: int, steps, level: float):
             reasons[r] = "band range includes times where survival is 0"
         elif not lo < hi:
             reasons[r] = f"degenerate range: a(t_L) = a(t_U) = {lo:.6g}"
+        elif not 0.0 < lo < hi < 1.0:
+            reasons[r] = f"band requires 0 < a_L < a_U < 1, got ({lo}, {hi})"
         else:
-            reasons[r] = _unsolved(lo, hi)
+            reasons[r] = "critical value solve failed to bracket"
     with np.errstate(invalid="ignore"):
         half_width = coeff[:, None] * survival * np.sqrt(greenwood)
     return (np.where(np.isnan(coeff), 0, width), coeff,

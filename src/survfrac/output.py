@@ -149,12 +149,19 @@ def _csv_text(names: list[str], texts: list[list[str]]) -> str:
     return text
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each carriage return and line feed written as the
+    two characters ``\\r`` or ``\\n``, so that a comment, ``##`` or
+    metadata line holding it stays one line."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def to_csv(doc: OutputDocument) -> str:
     parts = []
     many = len(doc.sections) > 1
     for sec in doc.sections:
         if many:
-            parts.append(f"# section: {sec.label or ''}\n")
+            parts.append(f"# section: {_one_line(sec.label or '')}\n")
         texts = [_column_texts(cells, human=False) for cells in sec.columns.values()]
         parts.append(_csv_text(list(sec.columns), texts))
     return "".join(parts)
@@ -173,10 +180,10 @@ def to_table(doc: OutputDocument) -> str:
         else:
             text = _cell_text(val, human=True)
         meta_bits.append(f"{key}={text}")
-    lines.append(f"# {doc.command}: " + "  ".join(meta_bits))
+    lines.append(_one_line(f"# {doc.command}: " + "  ".join(meta_bits)))
     for sec in doc.sections:
         if sec.label:
-            lines.append(f"## {sec.label}")
+            lines.append(f"## {_one_line(sec.label)}")
         padded = []
         for name, cells in sec.columns.items():
             texts = _column_texts(cells, human=True)

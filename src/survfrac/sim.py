@@ -16,20 +16,10 @@ from .km import _band_rows, _fit_rows
 __all__ = [
     "SimConfig",
     "SimSummary",
-    "loglogistic_quantile",
     "true_fraction_means",
     "generate_replicate",
     "run_study",
 ]
-
-
-def loglogistic_quantile(alpha: float, beta: float, p: float) -> float:
-    """Inverse CDF of the log-logistic distribution: alpha * (p/(1-p))**(1/beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    return alpha * (p / (1.0 - p)) ** (1.0 / beta)
 
 
 def _check_mean_exists(beta: float, grid: FractionGrid) -> None:
@@ -120,8 +110,8 @@ class SimConfig:
     from (seed, replicate index) alone.
     """
 
-    n_datasets: int
-    n: int
+    n_datasets: int = 500
+    n: int = 200
     alpha: float = 1.0
     beta: float = 2.0
     censor_upper: float = 7.0 / 3.0

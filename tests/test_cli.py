@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from survfrac import (
     parse_csv,
     split_by_group,
 )
-from survfrac.cli import main
+from survfrac import km
+from survfrac.cli import CONVENTIONS, main
 
 
 @pytest.fixture()
@@ -420,6 +422,24 @@ class TestKmCurve:
         assert any("band undefined" in n for n in doc["metadata"]["notes"])
         assert [r["survival"] for r in doc["sections"][0]["rows"]] == [1.0, 2 / 3]
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_line_break_label_stays_on_one_line(self, run, tmp_path, fmt):
+        p = tmp_path / "labels.csv"
+        p.write_bytes(b'time,status,arm\n1,1,"a\nb"\n2,1,"a\nb"\n3,1,"c\rd"\n'
+                      b'4,1,"c\rd"\n')
+        code, out, _ = run("km-curve", "--input", str(p), "--group-col", "arm",
+                           "--band-level", "0.95", "--format", fmt)
+        assert code == 0
+        lines = out.splitlines()
+        for line in lines:
+            cells = line.split(",") if fmt == "csv" else line.split()
+            assert line.startswith("#") or len(cells) == 7, line
+        if fmt == "csv":
+            assert "# section: a\\nb" in lines and "# section: c\\rd" in lines
+        else:
+            assert "  groups=a\\nb,c\\rd  " in lines[0]
+            assert "## a\\nb" in lines and "## c\\rd" in lines
+
 
 class TestJsonRoundTrip:
     def test_infinite_bounds_roundtrip(self, run, tmp_path):
@@ -508,6 +528,12 @@ def test_output_same_for_any_blas_thread_count(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], argv[0]
+
+
+def test_band_range_convention_names_the_risk_share():
+    match = re.fullmatch(r"first-event-to-last-event-with-positive-survival-and-"
+                         r"(\d+)pct-at-risk", CONVENTIONS["band_range"])
+    assert match and int(match[1]) / 100 == km.MIN_RISK_SHARE
 
 
 def test_band_note_names_both_default_range_conditions(run, tmp_path):

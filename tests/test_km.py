@@ -18,8 +18,8 @@ from survfrac import (
     BandUndefinedError,
     Dataset,
     EmptyEventsError,
+    KmCurve,
     ep_band,
-    ep_critical_value,
     fit_km,
     quantile,
     survival_at,
@@ -131,11 +131,12 @@ def test_monotonicity_invariants():
         assert np.all(np.diff(curve.times) > 0)
 
 
-def test_ep_critical_value_reference_points():
-    # 2.8826 is the classical tabulated 95% coefficient for (0.1, 0.6)
-    assert ep_critical_value(0.1, 0.6, 0.95) == pytest.approx(2.8826, abs=2e-4)
-    # solved value satisfies the crossing equation to solver tolerance
-    e = ep_critical_value(0.02, 0.95, 0.95)
+def test_critical_rows_reference_points():
+    # 2.8826 is the classical tabulated 95% coefficient for (0.1, 0.6); the
+    # second row's solved value satisfies the crossing equation to solver
+    # tolerance
+    tabulated, e = km._critical_rows([0.1, 0.02], [0.6, 0.95], 0.95).tolist()
+    assert tabulated == pytest.approx(2.8826, abs=2e-4)
     lr = math.log(0.95 * 0.98 / (0.02 * 0.05))
     resid = math.exp(-0.5 * e * e) / math.sqrt(2 * math.pi) * (
         (e - 1 / e) * lr + 4 / e
@@ -143,18 +144,15 @@ def test_ep_critical_value_reference_points():
     assert resid == pytest.approx(0.05, abs=1e-5)
 
 
-def test_ep_critical_value_monotone_in_level():
-    es = [ep_critical_value(0.05, 0.9, lvl) for lvl in (0.8, 0.9, 0.95, 0.99)]
+def test_critical_rows_monotone_in_level():
+    es = [float(km._critical_rows([0.05], [0.9], lvl)[0])
+          for lvl in (0.8, 0.9, 0.95, 0.99)]
     assert all(b > a for a, b in zip(es, es[1:]))
 
 
-def test_ep_critical_value_domain():
-    with pytest.raises(BandUndefinedError):
-        ep_critical_value(0.5, 0.5, 0.95)
-    with pytest.raises(BandUndefinedError):
-        ep_critical_value(0.0, 0.5, 0.95)
-    with pytest.raises(ValueError):
-        ep_critical_value(0.1, 0.5, 1.5)
+def test_critical_rows_nan_outside_domain():
+    coeff = km._critical_rows([0.5, 0.0, 0.6, 0.1], [0.5, 0.5, 0.4, 1.0], 0.95)
+    assert np.isnan(coeff).all()
 
 
 # a share of the sample: anywhere in [0, 1], or within 1e-6 of either end
@@ -167,19 +165,17 @@ SHARE = st.one_of(
 
 
 def reference_critical(a_lower, a_upper, level):
-    """The reference's value, or NaN and the reason it gives none."""
+    """The reference's value, or NaN where it gives none."""
     try:
         value = reference_ep_critical_value(a_lower, a_upper, level)
-    except BandUndefinedError as exc:
-        return math.nan, str(exc)
-    except ZeroDivisionError:
-        value = None
-    if value is None or math.isinf(a_upper * (1 - a_lower) / (a_lower * (1 - a_upper))):
+    except (BandUndefinedError, ZeroDivisionError):
+        return math.nan
+    if math.isinf(a_upper * (1 - a_lower) / (a_lower * (1 - a_upper))):
         # the log ratio is infinite, so the crossing exceeds alpha at every x
-        # and no bracket closes; the scalar body divides by zero or stops
-        # where exp underflows
-        return math.nan, "critical value solve failed to bracket"
-    return value, None
+        # and no bracket closes; the scalar body divides by zero (above) or
+        # stops where exp underflows
+        return math.nan
+    return value
 
 
 @pytest.mark.parametrize("guard", [km._EXP_GUARD, math.inf], ids=["np-exp", "math-exp"])
@@ -194,14 +190,11 @@ def test_critical_rows_match_scalar_reference(guard, pairs, level):
         mp.setattr(km, "_EXP_GUARD", guard)
         coeff = km._critical_rows([p[0] for p in pairs], [p[1] for p in pairs], level)
         for (a_lower, a_upper), got in zip(pairs, coeff.tolist()):
-            want, reason = reference_critical(a_lower, a_upper, level)
-            if reason is None:
-                assert got == want
-                assert ep_critical_value(a_lower, a_upper, level) == want
-            else:
+            want = reference_critical(a_lower, a_upper, level)
+            if math.isnan(want):
                 assert math.isnan(got)
-                with pytest.raises(BandUndefinedError, match=f"^{re.escape(reason)}$"):
-                    ep_critical_value(a_lower, a_upper, level)
+            else:
+                assert got == want
 
 
 def test_fit_ignores_order_inside_ties():
@@ -246,15 +239,41 @@ def test_band_width_strictly_increases_with_level():
     assert np.all(w99[unclamped] > w90[unclamped])
 
 
-def test_band_degenerate_and_domain_errors():
-    single = km_curve_of([1, 2, 3], [1, 0, 0])
-    with pytest.raises(BandUndefinedError):
-        ep_band(single, 0.95)
+def test_band_level_outside_domain():
     curve = fit_km(uncensored([1, 2, 3, 4]))
     with pytest.raises(ValueError):
         ep_band(curve, 0.0)
     with pytest.raises(ValueError):
         ep_band(curve, 1.0)
+
+
+def hand_curve(survival, greenwood, n):
+    """A curve built from its columns, with steps at 1, 2, ... and every
+    step keeping the whole sample at risk."""
+    steps = len(survival)
+    return KmCurve(times=np.arange(1.0, steps + 1), at_risk=np.full(steps, n),
+                   events=np.ones(steps, dtype=np.int64), survival=survival,
+                   greenwood=greenwood, n=n)
+
+
+@pytest.mark.parametrize("curve, reason", [
+    (hand_curve([], [], 1), "curve has no steps"),
+    # no step has 5 of the 100 subjects at risk after 96 censorings at t=1
+    (km_curve_of([1.0] * 96 + [2.0, 3.0, 4.0, 5.0], [0] * 96 + [1] * 4),
+     "no step has positive survival with at least 5% of the sample at risk"),
+    (hand_curve([0.9, 0.0, 0.5], [0.01, 0.02, 0.03], 10),
+     "band range includes times where survival is 0"),
+    (hand_curve([0.9, 0.8], [0.01, math.inf], 10),
+     "band range includes times where survival is 0"),
+    (km_curve_of([1, 2, 3], [1, 0, 0]), "degenerate range: a(t_L) = a(t_U) = 0.333333"),
+    (hand_curve([0.9, 0.8, 0.7], [0.01, 0.02, 1e300], 10),
+     "band requires 0 < a_L < a_U < 1, got (0.09090909090909091, 1.0)"),
+    # a_L (1 - a_U) underflows to 0, so the log ratio is infinite
+    (hand_curve([0.9, 0.8], [5e-324, 2.0], 1), "critical value solve failed to bracket"),
+])
+def test_band_undefined_reasons(curve, reason):
+    with pytest.raises(BandUndefinedError, match=f"^{re.escape(reason)}$"):
+        ep_band(curve, 0.95)
 
 
 def test_band_default_range_excludes_terminal_zero():

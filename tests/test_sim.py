@@ -12,7 +12,6 @@ from survfrac import (
     fit_km,
     fraction_means,
     generate_replicate,
-    loglogistic_quantile,
     run_study,
     true_fraction_means,
 )
@@ -49,29 +48,6 @@ def scipy_fraction_mean(beta, a, b):
         total += integrate.quad(lambda q: ((1 - q) / q)**s, 1 - b, 1 - max(a, 0.5),
                                 epsabs=0, epsrel=1e-13)[0]
     return total
-
-
-class TestLoglogisticQuantile:
-    def test_values(self):
-        assert loglogistic_quantile(1, 2, 0.5) == 1.0
-        assert loglogistic_quantile(1, 2, 0.8) == pytest.approx(2.0, rel=1e-14)
-        assert loglogistic_quantile(3, 2, 0.5) == 3.0
-
-    def test_strictly_increasing(self):
-        ps = np.linspace(0.01, 0.99, 50)
-        qs = [loglogistic_quantile(1.3, 0.8, p) for p in ps]
-        assert all(b > a for a, b in zip(qs, qs[1:]))
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(ValueError):
-            loglogistic_quantile(1, 2, p)
-
-    def test_parameters(self):
-        with pytest.raises(ValueError):
-            loglogistic_quantile(0, 2, 0.5)
-        with pytest.raises(ValueError):
-            loglogistic_quantile(1, -1, 0.5)
 
 
 class TestTrueFractionMeans:

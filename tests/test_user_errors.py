@@ -25,11 +25,9 @@ from survfrac import (
     bootstrap_compare,
     decile_grid,
     ep_band,
-    ep_critical_value,
     fit_km,
     fraction_means,
     generate_replicate,
-    loglogistic_quantile,
     max_observed_fraction,
     quantile,
     restricted_mean,
@@ -62,7 +60,6 @@ DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
      "supply explicit proportions"),
     (lambda: ep_band(CURVE, 1.5), "level must be in (0, 1), got 1.5"),
     (lambda: ep_band(CURVE, math.nan), "level must be in (0, 1), got nan"),
-    (lambda: ep_critical_value(0.1, 0.9, 0.0), "level must be in (0, 1), got 0.0"),
     (lambda: bootstrap_compare(SAMPLE, SAMPLE, GRID, B=50),
      "need at least 100 bootstrap replicates, got 50"),
     (lambda: bootstrap_compare(SAMPLE, SAMPLE, GRID, B=100, level=1.0),
@@ -114,7 +111,6 @@ EMPTY_BAND = BandPair(level=0.95, coefficient=1.0, times=np.empty(0), lower=np.e
     lambda: restricted_mean(CURVE, 0.0),
     lambda: quantile(CURVE, 0.0),
     lambda: render(OutputDocument(command="estimate", metadata={}, sections=[]), "xml"),
-    lambda: loglogistic_quantile(1.0, 2.0, 1.0),
     lambda: true_fraction_means(0.0, 2.0, GRID),
     lambda: generate_replicate(SimConfig(n_datasets=1, n=10), 1),
 ])
