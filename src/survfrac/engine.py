@@ -10,6 +10,9 @@ where.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 
 # Cells (replicate rows x draws per row) evaluated at once.  Bounds the
@@ -37,6 +40,16 @@ def _philox_rows(streams):
         yield rng
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, and at most 61 on Windows, where
+    ``ProcessPoolExecutor`` takes no more workers."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 61) if sys.platform == "win32" else cpus
+
+
 def _map_blocks(work, total: int, row_cells: int, workers: int) -> list:
     """``work(span)`` for consecutive spans of [0, total), each of as many
     rows of ``row_cells`` cells as fit ``_BLOCK_CELLS``, and at least one.
@@ -44,13 +57,14 @@ def _map_blocks(work, total: int, row_cells: int, workers: int) -> list:
     Results come back in span order.  With ``workers > 1`` the spans are
     mapped over a process pool started by the platform's default method;
     its start-up outweighed the work on small inputs under ``spawn``.  The
-    pool holds at most one worker per span, since under ``fork`` every
-    worker is started at the first submit, busy or not; a single span is
-    mapped in this process.
+    pool holds at most one worker per span and per usable CPU, since under
+    ``fork`` every worker is started at the first submit, busy or not; a
+    single span or CPU maps in this process.  The results do not depend on
+    the worker count.
     """
     block = max(1, _BLOCK_CELLS // row_cells)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
-    workers = min(workers, len(spans))
+    workers = min(workers, len(spans), _usable_cpus())
     if workers <= 1:
         return [work(span) for span in spans]
     # imported here, so that a command without a pool never loads it

@@ -235,11 +235,6 @@ class BandPair:
             object.__setattr__(self, name, arr)
 
 
-_EP_TOL = 1e-6  # absolute tolerance of the critical-value bisection
-# np.exp may differ from math.exp in the last bit.  A crossing value within
-# this share of alpha is recomputed with math.exp, so every bracket and
-# bisection decision is the one the scalar solve makes.
-_EXP_GUARD = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -249,18 +244,12 @@ def _check_level(level: float) -> None:
         raise DataError(f"level must be in (0, 1), got {level}")
 
 
-def _crossing(x, log_ratio, exp):
-    """The boundary-crossing probability at ``x``, with ``exp`` for e**."""
-    return exp(-0.5 * x * x) / _SQRT_2PI * ((x - 1.0 / x) * log_ratio + 4.0 / x)
-
-
-def _above(x: np.ndarray, log_ratio: np.ndarray, alpha: float) -> np.ndarray:
-    """``crossing(x) > alpha`` per element, decided as with ``math.exp``."""
-    value = _crossing(x, log_ratio, np.exp)
-    above = value > alpha
-    for i in np.flatnonzero(np.abs(value - alpha) <= _EXP_GUARD * alpha).tolist():
-        above[i] = _crossing(float(x[i]), float(log_ratio[i]), math.exp) > alpha
-    return above
+def _crossing(x, log_ratio):
+    """The boundary-crossing probability at ``x`` and its slope in ``x``."""
+    density = np.exp(-0.5 * x * x) / _SQRT_2PI
+    return (density * ((x - 1.0 / x) * log_ratio + 4.0 / x),
+            density * (2.0 * log_ratio - 4.0 + (log_ratio - 4.0) / (x * x)
+                       - log_ratio * x * x))
 
 
 def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
@@ -269,14 +258,16 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
 
     Solves the Brownian-bridge boundary-crossing approximation
 
-        alpha = phi(e) * [ (e - 1/e) * log(a_U (1-a_L) / (a_L (1-a_U))) + 4/e ]
+        alpha = phi(e) * [ (e - 1/e) * L + 4/e ],  L = log(a_U (1-a_L) / (a_L (1-a_U)))
 
-    for e by bisection to absolute tolerance ``_EP_TOL``; NaN where the
-    pair lies outside 0 < a_L < a_U < 1 or no bracket closes below 1e3.
-    Every row runs the scalar bracket and bisection, all rows at once; a
-    row that has stopped is carried along unchanged.  Every band's
-    coefficient comes from here, through :func:`_band_rows`; a tabulated
-    coefficient can be substituted here if preferred.
+    for e; NaN where the pair lies outside 0 < a_L < a_U < 1, L is
+    infinite, or no bracket closes below 1e3.  The bracket starts at
+    [1, 2] and doubles its upper end; Newton steps on the closed-form
+    slope phi(e) [2L - 4 + (L - 4)/e**2 - L e**2] then run inside it,
+    bisecting where a step would leave it, until a step moves e by at
+    most 4 ulps.  Each row takes its own steps to within a few ulps of
+    the root.  Every band's coefficient comes from here, through
+    :func:`_band_rows`; a tabulated coefficient can be substituted here.
     """
     alpha = 1.0 - level
     a_lower = np.asarray(a_lower, dtype=float)
@@ -285,8 +276,7 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
     rows = np.flatnonzero((0.0 < a_lower) & (a_lower < a_upper) & (a_upper < 1.0))
     a_lo, a_hi = a_lower[rows], a_upper[rows]
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = a_hi * (1.0 - a_lo) / (a_lo * (1.0 - a_hi))
-    log_ratio = np.array([math.log(v) for v in ratio.tolist()])
+        log_ratio = np.log(a_hi * (1.0 - a_lo) / (a_lo * (1.0 - a_hi)))
     # an infinite log ratio (a_L (1 - a_U) below the float range) puts the
     # crossing above alpha at every x, so no bracket closes
     finite = np.isfinite(log_ratio)
@@ -295,19 +285,28 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
     lo, hi = np.ones(rows.size), np.full(rows.size, 2.0)
     growing = np.ones(rows.size, dtype=bool)
     while growing.any():
-        growing &= _above(hi, log_ratio, alpha)
+        growing &= _crossing(hi, log_ratio)[0] > alpha
         hi[growing] *= 2.0
         growing &= hi <= 1e3
-    bracketed = hi <= 1e3
+    keep = hi <= 1e3
+    rows, log_ratio, lo, hi = rows[keep], log_ratio[keep], lo[keep], hi[keep]
 
-    active = bracketed & (hi - lo > _EP_TOL)
+    x = 0.5 * (lo + hi)
+    active = np.ones(rows.size, dtype=bool)
     while active.any():
-        mid = 0.5 * (lo + hi)
-        up = _above(mid, log_ratio, alpha)
-        lo = np.where(active & up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
-        active &= hi - lo > _EP_TOL
-    coeff[rows[bracketed]] = (0.5 * (lo + hi))[bracketed]
+        value, slope = _crossing(x, log_ratio)
+        lo, hi = np.where(value > alpha, x, lo), np.where(value > alpha, hi, x)
+        # a step of at most 4 ulps ends the row even where rounding puts it
+        # outside the bracket; the slope is 0 where the density underflows
+        with np.errstate(divide="ignore"):
+            newton = x - (value - alpha) / slope
+        tol = 4.0 * np.spacing(x)
+        near = np.abs(newton - x) <= tol
+        step = np.where(near | ((lo < newton) & (newton < hi)), newton, 0.5 * (lo + hi))
+        moved = np.abs(step - x) > tol
+        x = np.where(active, step, x)
+        active &= moved
+    coeff[rows] = x
     return coeff
 
 

@@ -21,7 +21,7 @@ from survfrac import (
     fit_km,
     quantile,
 )
-from survfrac.km import MIN_RISK_SHARE, _km_rows
+from survfrac.km import MIN_RISK_SHARE, _critical_rows, _km_rows
 
 
 def random_censored_dataset(rng, n=None, n_range=(5, 50), tie_share=0.0):
@@ -286,9 +286,16 @@ def reference_restricted_mean(curve, horizon):
     return math.fsum((values * np.maximum(ends - starts, 0.0)).tolist())
 
 
+# ulps by which a coefficient of ``km._critical_rows`` may differ from the
+# converged scalar reference.  Each lands within about 2 ulps of the root,
+# where the crossing's rounding no longer decides which side it is on.
+COEFF_ULPS = 16
+
+
 def reference_ep_critical_value(a_lower, a_upper, level):
-    """Scalar bisection with ``math.exp``: the reference for
-    ``km._critical_rows``, step for step."""
+    """Scalar bisection with ``math.exp``, run until its midpoint equals an
+    end: the reference for ``km._critical_rows``, which must agree with it
+    within ``COEFF_ULPS``."""
     if not 0.0 < level < 1.0:
         raise DataError(f"level must be in (0, 1), got {level}")
     if not 0.0 < a_lower < a_upper < 1.0:
@@ -307,20 +314,21 @@ def reference_ep_critical_value(a_lower, a_upper, level):
         hi *= 2.0
         if hi > 1e3:
             raise BandUndefinedError("critical value solve failed to bracket")
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if crossing(mid) > alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def reference_ep_band(curve, level):
     """Per-curve band: the reference for ``km._band_rows``.
 
     Finds the range, then checks and builds the one band with 1-D array
-    operations; each undefined case raises as soon as it is found.
+    operations; each undefined case raises as soon as it is found.  The
+    coefficient is the one-row ``km._critical_rows`` value, once it is
+    within ``COEFF_ULPS`` of ``reference_ep_critical_value``.
     """
     if not 0.0 < level < 1.0:
         raise DataError(f"level must be in (0, 1), got {level}")
@@ -353,6 +361,12 @@ def reference_ep_band(curve, level):
             f"degenerate range: a(t_L) = a(t_U) = {a_lo:.6g}"
         )
     coeff = reference_ep_critical_value(a_lo, a_hi, level)
+    # the edges are built on the one-row coefficient of the code under test,
+    # held here to the reference's, so that they and every bound summed from
+    # them are compared bit for bit
+    solved = float(_critical_rows([a_lo], [a_hi], level)[0])
+    assert abs(solved - coeff) <= COEFF_ULPS * math.ulp(coeff), (solved, coeff)
+    coeff = solved
 
     half_width = coeff * surv * np.sqrt(gw)
     lower = np.clip(surv - half_width, 0.0, 1.0)

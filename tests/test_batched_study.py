@@ -1,10 +1,13 @@
 """The block-batched Monte Carlo study against the per-replicate references
 (``reference_fit_km`` -> ``reference_fraction_means`` -> ``reference_ep_band``
--> ``reference_fraction_mean_bounds`` in ``helpers``): curves, bands, flags
-and counts bit for bit, and the masses, which the kernel sums in another
-order than the references, within the bound of ``helpers.assert_sum_close``."""
+-> ``reference_fraction_mean_bounds`` in ``helpers``): curves, flags and
+counts bit for bit, band coefficients within ``helpers.COEFF_ULPS`` of the
+scalar reference and the edges built on them bit for bit, and the masses,
+which the kernel sums in another order than the references, within the
+bound of ``helpers.assert_sum_close``."""
 
 import concurrent.futures
+import types
 
 import numpy as np
 import pytest
@@ -168,21 +171,45 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
 
     # the pool class is imported when a pool starts
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
     with monkeypatch.context() as blocks:
         # blocks of 10 cells: 2 rows of 5 cells, or 5 rows of 2
         blocks.setattr(engine, "_BLOCK_CELLS", 10)
         assert engine._map_blocks(tuple, 5, 5, workers=2) == [(0, 2), (2, 4), (4, 5)]
         assert engine._map_blocks(tuple, 5, 5, workers=4) == [(0, 2), (2, 4), (4, 5)]
         assert engine._map_blocks(tuple, 2, 2, workers=4) == [(0, 2)]
+        # one usable CPU maps every span in this process
+        blocks.setattr(engine, "_usable_cpus", lambda: 1)
+        assert engine._map_blocks(tuple, 5, 5, workers=4) == [(0, 2), (2, 4), (4, 5)]
     assert sizes == [2, 3]
+    # 306 blocks of 327 rows, and a pool of one worker per CPU, not 10 000
+    spans = engine._map_blocks(tuple, 100_000, 200, workers=10_000)
+    assert len(spans) == 306 and spans[-1] == (99_735, 100_000)
+    assert sizes == [2, 3, 4]
     # two samples of 20 fit one block, so the study starts no pool
     argv = ["simulate", "--n-datasets", "2", "--n", "20", "--censor-upper", "10",
             "--format", "csv"]
     assert main(argv + ["--workers", "4"]) == 0
     pooled = capsys.readouterr().out
-    assert sizes == [2, 3]
+    assert sizes == [2, 3, 4]
     assert main(argv) == 0
     assert capsys.readouterr().out == pooled
+
+
+@pytest.mark.parametrize("platform, affinity, cpu_count, usable", [
+    ("linux", set(range(100)), 128, 100),
+    ("win32", None, 100, 61),
+    ("darwin", None, None, 1),
+])
+def test_usable_cpus(monkeypatch, platform, affinity, cpu_count, usable):
+    # the affinity set where the platform has one, else the CPU count, and
+    # at most 61 where ProcessPoolExecutor takes no more
+    fake_os = types.SimpleNamespace(cpu_count=lambda: cpu_count)
+    if affinity is not None:
+        fake_os.sched_getaffinity = lambda pid: affinity
+    monkeypatch.setattr(engine, "os", fake_os)
+    monkeypatch.setattr(engine, "sys", types.SimpleNamespace(platform=platform))
+    assert engine._usable_cpus() == usable
 
 
 EVENT_FREE = dict(n_datasets=50, n=5, censor_upper=0.01, seed=1)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    COEFF_ULPS,
     empirical_survival,
     km_curve_of,
     random_censored_dataset,
@@ -132,16 +133,29 @@ def test_monotonicity_invariants():
 
 
 def test_critical_rows_reference_points():
-    # 2.8826 is the classical tabulated 95% coefficient for (0.1, 0.6); the
-    # second row's solved value satisfies the crossing equation to solver
-    # tolerance
+    # 2.8826 is the classical tabulated 95% coefficient for (0.1, 0.6)
     tabulated, e = km._critical_rows([0.1, 0.02], [0.6, 0.95], 0.95).tolist()
     assert tabulated == pytest.approx(2.8826, abs=2e-4)
     lr = math.log(0.95 * 0.98 / (0.02 * 0.05))
-    resid = math.exp(-0.5 * e * e) / math.sqrt(2 * math.pi) * (
-        (e - 1 / e) * lr + 4 / e
-    )
-    assert resid == pytest.approx(0.05, abs=1e-5)
+    dens = math.exp(-0.5 * e * e) / math.sqrt(2 * math.pi)
+    resid = dens * ((e - 1 / e) * lr + 4 / e)
+    slope = dens * (2 * lr - 4 + (lr - 4) / (e * e) - lr * e * e)
+    # e is within 2 ulps of the root, and each ulp of e moves the crossing
+    # by |slope| ulp(e), about 9 ulps of alpha here; evaluating the crossing
+    # rounds by up to 2 ulps of alpha more
+    bound = 2 * abs(slope) * math.ulp(e) + 2 * math.ulp(0.05)
+    assert abs(resid - 0.05) <= bound < 21 * math.ulp(0.05)
+
+
+def test_crossing_slope_is_its_derivative():
+    # a wrong slope still converges, through the bisection fallback and
+    # slowly, so only a comparison with a central difference shows it
+    x = np.linspace(1.1, 8.0, 24)
+    h = 1e-6
+    for log_ratio in (0.0, 0.5, 4.0, 40.0, 700.0):
+        _, slope = km._crossing(x, log_ratio)
+        diff = (km._crossing(x + h, log_ratio)[0] - km._crossing(x - h, log_ratio)[0]) / (2 * h)
+        np.testing.assert_allclose(slope, diff, rtol=1e-6, atol=1e-9)
 
 
 def test_critical_rows_monotone_in_level():
@@ -178,23 +192,40 @@ def reference_critical(a_lower, a_upper, level):
     return value
 
 
-@pytest.mark.parametrize("guard", [km._EXP_GUARD, math.inf], ids=["np-exp", "math-exp"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(pairs=st.lists(st.tuples(SHARE, SHARE), min_size=1, max_size=12),
        level=st.floats(0.5, 0.999))
 @example(pairs=[(5e-324, 0.5), (5e-324, 0.25), (0.0, 0.5), (0.5, 0.5), (0.1, 0.6)],
          level=0.95)
-def test_critical_rows_match_scalar_reference(guard, pairs, level):
-    # the second run recomputes every comparison with math.exp
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(km, "_EXP_GUARD", guard)
-        coeff = km._critical_rows([p[0] for p in pairs], [p[1] for p in pairs], level)
-        for (a_lower, a_upper), got in zip(pairs, coeff.tolist()):
-            want = reference_critical(a_lower, a_upper, level)
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == want
+def test_critical_rows_match_scalar_reference(pairs, level):
+    coeff = km._critical_rows([p[0] for p in pairs], [p[1] for p in pairs], level)
+    for (a_lower, a_upper), got in zip(pairs, coeff.tolist()):
+        want = reference_critical(a_lower, a_upper, level)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert abs(got - want) <= COEFF_ULPS * math.ulp(want), (got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(SHARE, SHARE).map(sorted), min_size=1, max_size=24),
+       level=st.floats(0.5, 0.999), block=st.integers(1, 24))
+@example(pairs=[(1e-300, 0.5), (0.1, 0.6), (0.5, 0.5), (0.3, 1.0 - 2.0**-53)],
+         level=0.95, block=3)
+def test_critical_rows_row_independent(pairs, level, block):
+    # every row takes its own steps: a row's coefficient is the bits of its
+    # one-row solve, however the rows are split, ordered or strided
+    a_lower, a_upper = np.array(pairs).T
+    rows = len(pairs)
+    alone = np.concatenate([km._critical_rows(a_lower[r:r + 1], a_upper[r:r + 1], level)
+                            for r in range(rows)])
+    split = np.concatenate([km._critical_rows(a_lower[s:s + block], a_upper[s:s + block],
+                                              level) for s in range(0, rows, block)])
+    reverse = km._critical_rows(a_lower[::-1], a_upper[::-1], level)[::-1]
+    interleaved = np.repeat(np.stack([a_lower, a_upper]), 2, axis=1)
+    strided = km._critical_rows(interleaved[0, ::2], interleaved[1, ::2], level)
+    for got in (split, reverse, strided):
+        assert got.tobytes() == alone.tobytes()
 
 
 def test_fit_ignores_order_inside_ties():

@@ -3,9 +3,12 @@
 ``fit_km``, ``fraction_means`` (with and without a band), ``ep_band`` and
 ``restricted_mean`` are the one-row case of the row kernels that the study
 and the bootstrap run; ``helpers`` keeps the per-sample code they replaced.
-Curves, bands, flags and counts must match their references bit for bit;
-the masses and restricted means, which the kernels sum in another order
-than the references, within the bound of ``helpers.assert_sum_close``.
+Curves, flags and counts must match their references bit for bit, and so
+must band edges, which ``reference_ep_band`` builds on the solved
+coefficient once it is within ``helpers.COEFF_ULPS`` of the scalar
+reference; the masses and restricted means, which the kernels sum in
+another order than the references, within the bound of
+``helpers.assert_sum_close``.
 """
 
 import math
