@@ -11,13 +11,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import DataError, Dataset, parse_csv, split_by_group
-from .fracmean import (
-    FractionGrid,
-    decile_grid,
-    fraction_means,
-    max_observed_fraction,
-    truncate_grid,
-)
+from .fracmean import FractionGrid, fraction_means, truncate_grid
 from .inference import bootstrap_compare
 from .km import MIN_RISK_SHARE, BandUndefinedError, ep_band, fit_km
 from .output import FORMATS, OutputDocument, Section, render
@@ -31,6 +25,9 @@ CONVENTIONS = {
     "upper_bound_averaging": "finite-values-only",
     "noncomputable_fractions": "flagged-partial-sums",
 }
+
+# the grid without --lambdas, truncated to the fractions the data reach
+_DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
 
 
 def _default_format() -> str:
@@ -98,8 +95,8 @@ def _estimate_columns(fm):
 def cmd_estimate(args) -> OutputDocument:
     ds = _load(args)
     curve = fit_km(ds)
-    max_frac = max_observed_fraction(curve)
-    grid = args.lambdas if args.lambdas is not None else decile_grid(float(curve.survival[-1]))
+    last = float(curve.survival[-1])
+    grid = args.lambdas if args.lambdas is not None else truncate_grid(_DECILES, last)
 
     notes = []
     band = None
@@ -113,7 +110,7 @@ def cmd_estimate(args) -> OutputDocument:
         input=str(args.input),
         n=len(ds),
         events=ds.n_events,
-        max_observed_fraction=max_frac,
+        max_observed_fraction=1.0 - last,
         lambdas=list(grid.lambdas),
         band_level=args.band_level,
         band_coefficient=band.coefficient if band is not None else None,
@@ -154,8 +151,7 @@ def cmd_compare(args) -> OutputDocument:
     # the fractions both curves reach: those the higher-ending one reaches.
     # fl(1 - x) is monotone, so 1 - last is the smaller max observed fraction
     last = max(float(c.survival[-1]) for c in curves)
-    requested = args.lambdas if args.lambdas is not None else decile_grid(last)
-    grid = truncate_grid(requested, last)
+    grid = truncate_grid(args.lambdas if args.lambdas is not None else _DECILES, last)
 
     horizon = None
     if args.restricted_mean == "auto":

@@ -59,8 +59,9 @@ def _map_blocks(work, total: int, row_cells: int, workers: int) -> list:
     its start-up outweighed the work on small inputs under ``spawn``.  The
     pool holds at most one worker per span and per usable CPU, since under
     ``fork`` every worker is started at the first submit, busy or not; a
-    single span or CPU maps in this process.  The results do not depend on
-    the worker count.
+    single span or CPU maps in this process.  Each worker gets one run of
+    consecutive spans, so ``work`` is pickled once per worker, not once
+    per span.  The results do not depend on the worker count.
     """
     block = max(1, _BLOCK_CELLS // row_cells)
     spans = [(s, min(s + block, total)) for s in range(0, total, block)]
@@ -71,4 +72,4 @@ def _map_blocks(work, total: int, row_cells: int, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, spans))
+        return list(pool.map(work, spans, chunksize=-(-len(spans) // workers)))

@@ -17,7 +17,6 @@ __all__ = [
     "fraction_means",
     "restricted_mean",
     "truncate_grid",
-    "decile_grid",
 ]
 
 
@@ -250,27 +249,18 @@ def _restricted_mean_rows(times, surv, horizon: float) -> np.ndarray:
 
 def truncate_grid(grid: FractionGrid, last_survival: float) -> FractionGrid:
     """Drop the fractions a curve ending at ``last_survival`` does not
-    reach: lambda is kept iff ``last_survival <= 1 - lambda``, the test by
-    which :func:`fraction_means` flags a fraction computable.
+    reach: lambda is kept iff ``last_survival <= gamma``, the test by which
+    :func:`fraction_means` flags a fraction computable.
 
-    Used for group comparisons, which are restricted to the fractions
-    every group reaches, so ``last_survival`` is the largest of the groups'.
+    The default grids are the deciles truncated this way.  Group
+    comparisons are restricted to the fractions every group reaches, so
+    there ``last_survival`` is the largest of the groups'.
     """
-    kept = tuple(lam for lam in grid.lambdas if last_survival <= 1.0 - lam)
+    kept = tuple(lam for lam, gamma in zip(grid.lambdas, grid.gammas)
+                 if last_survival <= gamma)
     if len(kept) < 2:
         raise DataError(
-            f"no grid fraction lies within max observed fraction {1.0 - last_survival:.6g}"
+            f"no grid fraction lies within max observed fraction {1.0 - last_survival:.6g}; "
+            f"the smallest grid fraction is {grid.lambdas[1]:.6g}"
         )
     return FractionGrid(kept)
-
-
-def decile_grid(last_survival: float) -> FractionGrid:
-    """The deciles {0.1, 0.2, ...} that a curve ending at ``last_survival``
-    reaches, as :func:`truncate_grid` keeps them."""
-    uppers = [k / 10 for k in range(1, 11) if last_survival <= 1.0 - k / 10]
-    if not uppers:
-        raise DataError(
-            f"max observed fraction {1.0 - last_survival:.6g} is below the first decile; "
-            "supply explicit proportions"
-        )
-    return FractionGrid.from_uppers(uppers)

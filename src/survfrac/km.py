@@ -261,9 +261,10 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
         alpha = phi(e) * [ (e - 1/e) * L + 4/e ],  L = log(a_U (1-a_L) / (a_L (1-a_U)))
 
     for e; NaN where the pair lies outside 0 < a_L < a_U < 1, L is
-    infinite, or no bracket closes below 1e3.  The bracket starts at
-    [1, 2] and doubles its upper end; Newton steps on the closed-form
-    slope phi(e) [2L - 4 + (L - 4)/e**2 - L e**2] then run inside it,
+    infinite, the level is at most 1 - 4 phi(1) (about 0.0321), or no
+    bracket closes below 1e3.  The bracket starts at [1, 2] and doubles
+    its upper end; Newton steps on the closed-form slope
+    phi(e) [2L - 4 + (L - 4)/e**2 - L e**2] then run inside it,
     bisecting where a step would leave it, until a step moves e by at
     most 4 ulps.  Each row takes its own steps to within a few ulps of
     the root.  Every band's coefficient comes from here, through
@@ -278,9 +279,12 @@ def _critical_rows(a_lower, a_upper, level: float) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         log_ratio = np.log(a_hi * (1.0 - a_lo) / (a_lo * (1.0 - a_hi)))
     # an infinite log ratio (a_L (1 - a_U) below the float range) puts the
-    # crossing above alpha at every x, so no bracket closes
-    finite = np.isfinite(log_ratio)
-    rows, log_ratio = rows[finite], log_ratio[finite]
+    # crossing above alpha at every x, so no bracket closes; and at the
+    # bracket's lower end 1 the crossing is 4 phi(1) whatever L, so at a
+    # level of 1 - 4 phi(1) or below the bracket is invalid from the start
+    with np.errstate(invalid="ignore"):
+        opens = np.isfinite(log_ratio) & (_crossing(1.0, log_ratio)[0] > alpha)
+    rows, log_ratio = rows[opens], log_ratio[opens]
 
     lo, hi = np.ones(rows.size), np.full(rows.size, 2.0)
     growing = np.ones(rows.size, dtype=bool)

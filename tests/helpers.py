@@ -310,6 +310,8 @@ def reference_ep_critical_value(a_lower, a_upper, level):
         return dens * ((x - 1.0 / x) * log_ratio + 4.0 / x)
 
     lo, hi = 1.0, 2.0
+    if not crossing(lo) > alpha:
+        raise BandUndefinedError("critical value solve failed to bracket")
     while crossing(hi) > alpha:
         hi *= 2.0
         if hi > 1e3:

@@ -151,11 +151,11 @@ def test_run_study_same_for_any_worker_count(monkeypatch):
 
 
 def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
-    sizes = []
+    sizes, chunks = [], []
 
     class SerialPool:
         """Stands in for ``ProcessPoolExecutor``: records the worker count
-        it is asked for and maps in this process."""
+        and chunk size it is asked for and maps in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -166,7 +166,8 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            chunks.append(chunksize)
             return map(fn, items)
 
     # the pool class is imported when a pool starts
@@ -181,17 +182,18 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
         # one usable CPU maps every span in this process
         blocks.setattr(engine, "_usable_cpus", lambda: 1)
         assert engine._map_blocks(tuple, 5, 5, workers=4) == [(0, 2), (2, 4), (4, 5)]
-    assert sizes == [2, 3]
+    # each worker gets one run of consecutive blocks
+    assert sizes == [2, 3] and chunks == [2, 1]
     # 306 blocks of 327 rows, and a pool of one worker per CPU, not 10 000
     spans = engine._map_blocks(tuple, 100_000, 200, workers=10_000)
     assert len(spans) == 306 and spans[-1] == (99_735, 100_000)
-    assert sizes == [2, 3, 4]
+    assert sizes == [2, 3, 4] and chunks == [2, 1, 77]
     # two samples of 20 fit one block, so the study starts no pool
     argv = ["simulate", "--n-datasets", "2", "--n", "20", "--censor-upper", "10",
             "--format", "csv"]
     assert main(argv + ["--workers", "4"]) == 0
     pooled = capsys.readouterr().out
-    assert sizes == [2, 3, 4]
+    assert sizes == [2, 3, 4] and chunks == [2, 1, 77]
     assert main(argv) == 0
     assert capsys.readouterr().out == pooled
 

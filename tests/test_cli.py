@@ -138,7 +138,8 @@ class TestEstimate:
         )
         code, _, err = run("estimate", "--input", str(p))
         assert code == 2
-        assert "decile" in err
+        assert err == ("survfrac estimate: error: no grid fraction lies within max "
+                       "observed fraction 0.0344828; the smallest grid fraction is 0.1\n")
         # explicit proportions still work
         code, out, _ = run(
             "estimate", "--input", str(p), "--lambdas", "0.03",
@@ -547,6 +548,22 @@ def test_band_note_names_both_default_range_conditions(run, tmp_path):
         "band undefined: no step has positive survival with at least 5% "
         "of the sample at risk"
     ]
+
+
+def test_band_level_at_or_below_the_lowest_exits_0_without_bands(run, tmp_path):
+    # at or below level 1 - 4 phi(1), about 0.0321, no critical value exists
+    p = tmp_path / "eight.csv"
+    p.write_text("time,status\n1,1\n2,0\n2,0\n3,1\n4,0\n4,0\n4,0\n4,0\n")
+    code, out, err = run("estimate", "--input", str(p), "--band-level", "0.01",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["metadata"]
+    assert meta["band_coefficient"] is None
+    assert meta["notes"] == ["band undefined: critical value solve failed to bracket"]
+    code, out, err = run("simulate", "--n-datasets", "20", "--n", "40",
+                         "--band-level", "0.01", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["metadata"]["band_undefined_count"] == 20
 
 
 def test_divergent_design_fails_before_the_study(run, monkeypatch):

@@ -19,7 +19,6 @@ from survfrac import (
     DataError,
     Dataset,
     FractionGrid,
-    decile_grid,
     ep_band,
     fit_km,
     fraction_means,
@@ -27,6 +26,8 @@ from survfrac import (
     restricted_mean,
     truncate_grid,
 )
+
+DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
 
 
 class TestFractionGrid:
@@ -56,18 +57,15 @@ class TestFractionGrid:
             truncate_grid(g, 0.9)
 
     def test_deciles(self):
-        assert decile_grid(0.0).lambdas == (0.0,) + tuple(
-            k / 10 for k in range(1, 11)
-        )
-        assert decile_grid(0.15).lambdas[-1] == 0.8
-        assert decile_grid(0.5).lambdas[-1] == 0.5
+        assert truncate_grid(DECILES, 0.0) == DECILES
+        assert truncate_grid(DECILES, 0.15).lambdas[-1] == 0.8
+        assert truncate_grid(DECILES, 0.5).lambdas[-1] == 0.5
         # 1 - 0.8 rounds below 0.2: a curve ending at 0.2 does not reach 0.8
-        assert decile_grid(0.2).lambdas[-1] == 0.7
-        with pytest.raises(ValueError):
-            decile_grid(0.95)
+        assert truncate_grid(DECILES, 0.2).lambdas[-1] == 0.7
+        with pytest.raises(ValueError, match="the smallest grid fraction is 0.1$"):
+            truncate_grid(DECILES, 0.95)
 
 
-DECILES = FractionGrid.from_uppers([k / 10 for k in range(1, 11)])
 # the exact curve ends at 7/10, the float curve at 0.7000000000000001
 EIGHT_ROWS = Dataset(times=np.array([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0]),
                      status=np.array([1, 0, 0, 1, 0, 0, 0, 0]))
@@ -83,9 +81,10 @@ def _lattice_samples(draw):
     return Dataset(times=times, status=status)
 
 
-def _grid_or_none(build, *args):
+def _default_grid(last_survival):
+    """The deciles cut at ``last_survival``, or None where none is left."""
     try:
-        return build(*args)
+        return truncate_grid(DECILES, last_survival)
     except DataError:
         return None
 
@@ -94,20 +93,21 @@ def _grid_or_none(build, *args):
 @given(first=_lattice_samples(), second=_lattice_samples())
 @example(first=EIGHT_ROWS, second=EIGHT_ROWS)
 def test_default_grids_hold_exactly_the_reached_deciles(first, second):
-    """``decile_grid`` holds the deciles a curve reaches, by the flag of
-    ``fraction_means``, and ``truncate_grid`` those that both curves of a
-    comparison reach; neither grid has a fraction flagged not computable."""
+    """``truncate_grid`` over the deciles holds those a curve reaches, by
+    the flag of ``fraction_means``, and at the larger last value those that
+    both curves of a comparison reach; neither grid has a fraction flagged
+    not computable."""
     curves = fit_km(first), fit_km(second)
     reached = [fraction_means(c, DECILES).computable for c in curves]
     for curve, flags in zip(curves, reached):
         want = [lam for lam, hit in zip(DECILES.lambdas[1:], flags) if hit]
-        grid = _grid_or_none(decile_grid, float(curve.survival[-1]))
+        grid = _default_grid(float(curve.survival[-1]))
         assert (None if grid is None else list(grid.lambdas[1:])) == (want or None)
         if grid is not None:
             assert all(fraction_means(curve, grid).computable)
     last = max(float(c.survival[-1]) for c in curves)
     want = [lam for lam, a, b in zip(DECILES.lambdas[1:], *reached) if a and b]
-    grid = _grid_or_none(truncate_grid, DECILES, last)
+    grid = _default_grid(last)
     assert (None if grid is None else list(grid.lambdas[1:])) == (want or None)
     if grid is not None:
         for curve in curves:

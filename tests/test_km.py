@@ -132,14 +132,20 @@ def test_monotonicity_invariants():
         assert np.all(np.diff(curve.times) > 0)
 
 
+def _scalar_crossing(e, a_lower, a_upper):
+    """The crossing probability at ``e`` for the pair and its slope in ``e``,
+    with ``math`` alone."""
+    lr = math.log(a_upper * (1 - a_lower) / (a_lower * (1 - a_upper)))
+    dens = math.exp(-0.5 * e * e) / math.sqrt(2 * math.pi)
+    return (dens * ((e - 1 / e) * lr + 4 / e),
+            dens * (2 * lr - 4 + (lr - 4) / (e * e) - lr * e * e))
+
+
 def test_critical_rows_reference_points():
     # 2.8826 is the classical tabulated 95% coefficient for (0.1, 0.6)
     tabulated, e = km._critical_rows([0.1, 0.02], [0.6, 0.95], 0.95).tolist()
     assert tabulated == pytest.approx(2.8826, abs=2e-4)
-    lr = math.log(0.95 * 0.98 / (0.02 * 0.05))
-    dens = math.exp(-0.5 * e * e) / math.sqrt(2 * math.pi)
-    resid = dens * ((e - 1 / e) * lr + 4 / e)
-    slope = dens * (2 * lr - 4 + (lr - 4) / (e * e) - lr * e * e)
+    resid, slope = _scalar_crossing(e, 0.02, 0.95)
     # e is within 2 ulps of the root, and each ulp of e moves the crossing
     # by |slope| ulp(e), about 9 ulps of alpha here; evaluating the crossing
     # rounds by up to 2 ulps of alpha more
@@ -205,6 +211,40 @@ def test_critical_rows_match_scalar_reference(pairs, level):
             assert math.isnan(got)
         else:
             assert abs(got - want) <= COEFF_ULPS * math.ulp(want), (got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(SHARE, SHARE), min_size=1, max_size=12),
+       level=st.sampled_from([1e-9, 0.01, 0.032]))
+def test_critical_rows_nan_at_or_below_the_lowest_level(pairs, level):
+    # the crossing at the bracket's lower end 1 is 4 phi(1) whatever L, so
+    # at a level of 1 - 4 phi(1), about 0.0321, or below no bracket opens
+    coeff = km._critical_rows([p[0] for p in pairs], [p[1] for p in pairs], level)
+    assert np.isnan(coeff).all()
+
+
+def test_critical_rows_solve_just_above_the_lowest_level():
+    # the root is ill-conditioned near level 0.0321, so hold the residual,
+    # not the distance to the reference
+    rng = np.random.default_rng(43)
+    pairs = []
+    for _ in range(100):
+        curve = fit_km(random_censored_dataset(rng, n_range=(8, 60), tie_share=0.3))
+        try:
+            width = ep_band(curve, 0.95).times.size
+        except BandUndefinedError:
+            continue
+        gw = curve.greenwood[[0, width - 1]]
+        pairs.append(curve.n * gw / (1.0 + curve.n * gw))
+    assert len(pairs) > 50
+    a_lower, a_upper = np.array(pairs).T
+    coeff = km._critical_rows(a_lower, a_upper, 0.04)
+    assert np.isfinite(coeff).all()
+    alpha = 1.0 - 0.04
+    for lo, hi, e in zip(a_lower.tolist(), a_upper.tolist(), coeff.tolist()):
+        resid, slope = _scalar_crossing(e, lo, hi)
+        # the solve stops on a step of at most 4 ulps of e
+        assert abs(resid - alpha) <= 4 * abs(slope) * math.ulp(e) + 2 * math.ulp(alpha)
 
 
 @settings(max_examples=100, deadline=None)

@@ -303,5 +303,8 @@ STEPS = _dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 0])
 # survival stays positive, but no step keeps 5% of the sample at risk
 @example(fit_km(_dataset(np.r_[np.ones(96), 2.0, 3.0, 4.0, 5.0],
                          np.r_[np.zeros(96), 1, 1, 1, 1])), 0.95)
+# at a level below 1 - 4 phi(1) the bracket [1, 2] is invalid at its lower
+# end, and no band exists
+@example(fit_km(_dataset([0.0] * 2 + [1.0] * 15 + [2.0], [1] * 18)), 1e-9)
 def test_ep_band_matches_reference(curve, level):
     assert band_outcome(ep_band, curve, level) == band_outcome(reference_ep_band, curve, level)

@@ -23,7 +23,6 @@ from survfrac import (
     KmCurve,
     SimConfig,
     bootstrap_compare,
-    decile_grid,
     ep_band,
     fit_km,
     fraction_means,
@@ -54,10 +53,8 @@ DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
     (lambda: FractionGrid.from_uppers([math.nan]),
      "grid proportions cannot be NaN: (0.0, nan)"),
     (lambda: truncate_grid(GRID, 0.7),
-     "no grid fraction lies within max observed fraction 0.3"),
-    (lambda: decile_grid(0.95),
-     "max observed fraction 0.05 is below the first decile; "
-     "supply explicit proportions"),
+     "no grid fraction lies within max observed fraction 0.3; "
+     "the smallest grid fraction is 0.5"),
     (lambda: ep_band(CURVE, 1.5), "level must be in (0, 1), got 1.5"),
     (lambda: ep_band(CURVE, math.nan), "level must be in (0, 1), got nan"),
     (lambda: bootstrap_compare(SAMPLE, SAMPLE, GRID, B=50),
