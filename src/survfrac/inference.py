@@ -1,7 +1,8 @@
 """Stratified bootstrap comparison of fraction means between two groups.
 
-A replicate is a vector of frequency weights over the sorted distinct times
-of each group's sample: its index draw becomes a row of per-time counts.
+A replicate is a vector of frequency weights over the sorted distinct event
+times of each group's sample: its index draw becomes a row of per-time
+counts, each censoring counted at the last event time at or before it.
 Replicates are evaluated in blocks of such rows with one vectorised
 product-limit computation (:func:`survfrac.km._km_rows`), and every
 statistic of a replicate comes from that one pass.
@@ -82,15 +83,20 @@ def _group_digest(ds: Dataset) -> int:
 class _Group(NamedTuple):
     """What a replicate block needs of one group's sample."""
 
-    times: np.ndarray  # sorted distinct times
-    # per observation: 2 * (index of its time in ``times``) + (1 if an event)
+    times: np.ndarray  # sorted distinct event times
+    # per observation: 2 * (index of the last event time at or before its
+    # time, or len(times) before the first) + (1 if an event).  Events come
+    # before censorings in a tie, so a censoring is at risk at exactly the
+    # event times up to its own; one before the first event is at none
     code: np.ndarray
     digest: int
 
 
 def _prepare(ds: Dataset) -> _Group:
-    times, column = np.unique(ds.times, return_inverse=True)
-    return _Group(times, 2 * column.ravel() + (ds.status == 1), _group_digest(ds))
+    times = np.unique(ds.times[ds.status == 1])
+    # index -1, before the first event, wraps to the spare column len(times)
+    column = (np.searchsorted(times, ds.times, side="right") - 1) % (times.size + 1)
+    return _Group(times, 2 * column + (ds.status == 1), _group_digest(ds))
 
 
 def _bounded_rows(raw: np.ndarray, n: int, k: int):
@@ -136,18 +142,20 @@ def _index_draws(key, start: int, stop: int, n: int, k: int) -> np.ndarray:
 
 
 def _replicate_counts(group: _Group, seed: int, start: int, stop: int):
-    """Per-time observation and event counts of replicates [start, stop).
+    """Per-event-time observation and event counts of replicates [start, stop).
 
     Replicate r draws ``integers(0, n, size=n)`` from the Philox stream
     keyed by (seed, group digest) at counter (0, 0, 0, r).  One count of
-    the drawn observations' codes gives both counts of every row.
+    the drawn observations' codes gives both counts of every row; the
+    spare column of the censorings before the first event is dropped.
     """
     m = group.times.size
     rows = stop - start
     n = group.code.size
     cells = group.code[_index_draws((seed, group.digest), start, stop, n, n)]
-    cells += 2 * m * np.arange(rows)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=2 * m * rows).reshape(rows, m, 2)
+    cells += (2 * m + 2) * np.arange(rows)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=(2 * m + 2) * rows)
+    counts = counts.reshape(rows, m + 1, 2)[:, :m]
     return counts[..., 0] + counts[..., 1], counts[..., 1]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_censored_dataset, resample, uncensored
+from helpers import random_censored_dataset, random_grid, resample, uncensored
 from survfrac import (
     Dataset,
     FractionGrid,
@@ -20,6 +20,7 @@ from survfrac import (
     restricted_mean,
 )
 from survfrac import engine, inference
+from survfrac.fracmean import _restricted_mean_rows, _window_masses
 from survfrac.inference import _estimate, _prepare, _replicate_diffs, _replicate_stats
 from survfrac.km import _km_rows
 
@@ -150,6 +151,63 @@ def test_batched_replicates_match_per_replicate_refits(kind):
         assert rmean[r] == pytest.approx(restricted_mean(curve, horizon), rel=1e-12)
     if kind == "one-event":
         assert discarded > 0
+
+
+def _event_column_samples(seed, count):
+    """Random samples at tie shares 0, 0.3 and 0.7, each also with
+    censorings added at half its first event time (before that event
+    unless it is at 0) and after its last time."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        ds = random_censored_dataset(rng, n_range=(2, 400), tie_share=(0.0, 0.3, 0.7)[i % 3])
+        yield ds
+        first = ds.times[ds.status == 1].min()
+        yield Dataset(times=np.append(ds.times, [first / 2, ds.times.max() + 1]),
+                      status=np.append(ds.status, [0, 0]))
+
+
+def test_identity_replicate_equals_point_estimate():
+    # the draw that takes each observation once: its row over the event
+    # columns is the fitted curve, and its statistics the point estimates,
+    # bit for bit
+    rng = np.random.default_rng(29)
+    for ds in _event_column_samples(7, 150):
+        group = _prepare(ds)
+        m = group.times.size
+        curve = fit_km(ds)
+        pairs = np.bincount(group.code, minlength=2 * m + 2).reshape(1, m + 1, 2)[:, :m]
+        _, surv = _km_rows(pairs.sum(axis=2), pairs[..., 1])
+        assert group.times.tolist() == curve.times.tolist()
+        assert surv[0].tolist() == curve.survival.tolist()
+        for grid in (GRID, random_grid(rng, 1.0)):
+            mass, reaches, _ = _window_masses(group.times, surv, np.array([m]), grid)
+            fm = fraction_means(curve, grid)
+            assert mass[0].tolist() == list(fm.mu)
+            assert tuple(reaches[0].tolist()) == fm.computable
+        for horizon in {float(np.median(ds.times)), float(ds.times.max()) + 0.5} - {0.0}:
+            rmean = _restricted_mean_rows(group.times, surv, horizon)
+            assert rmean[0] == restricted_mean(curve, horizon)
+
+
+def test_replicate_rows_equal_distinct_time_rows_at_event_columns():
+    # dropping a censoring-only column drops a factor of exactly 1 from the
+    # product: the rows over all distinct times, at the event columns, are
+    # the rows over the event times alone, bit for bit
+    seed, B = 3, 50
+    for ds in _event_column_samples(11, 60):
+        group = _prepare(ds)
+        distinct = np.unique(ds.times)
+        tot = np.zeros((B, distinct.size), dtype=np.int64)
+        ev = np.zeros((B, distinct.size), dtype=np.int64)
+        for r in range(B):
+            rs = resample(ds, seed, group.digest, r)
+            column = np.searchsorted(distinct, rs.times)
+            np.add.at(tot[r], column, 1)
+            np.add.at(ev[r], column, rs.status)
+        _, reference = _km_rows(tot, ev)
+        _, surv = _km_rows(*inference._replicate_counts(group, seed, 0, B))
+        at_events = np.searchsorted(distinct, group.times)
+        assert np.array_equal(surv, reference[:, at_events])
 
 
 def _two_groups(seed=5):

@@ -68,11 +68,20 @@ def test_index_draws_equal_numpy_integers(monkeypatch, n, k):
 
 
 def _counts_reference(ds, group, seed, r):
+    # columns are the sample's event times; each drawn observation counts
+    # at the last of them at or before its time, and one before the first
+    # event counts nowhere
+    event_times = sorted({t for t, s in zip(ds.times.tolist(), ds.status.tolist()) if s})
+    assert group.times.tolist() == event_times
+    m = len(event_times)
+    tot, ev = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     rs = resample(ds, seed, group.digest, r)
-    column = np.searchsorted(group.times, rs.times)
-    m = group.times.size
-    return (np.bincount(column, minlength=m),
-            np.bincount(column, weights=rs.status == 1, minlength=m).astype(np.int64))
+    for t, s in zip(rs.times.tolist(), rs.status.tolist()):
+        j = sum(1 for e in event_times if e <= t) - 1
+        if j >= 0:
+            tot[j] += 1
+            ev[j] += s == 1
+    return tot, ev
 
 
 SAMPLES = {
@@ -80,6 +89,11 @@ SAMPLES = {
     "distinct": lambda rng: random_censored_dataset(rng, n=60),
     "one": lambda rng: Dataset(times=np.array([2.5]), status=np.array([1])),
     "two": lambda rng: Dataset(times=np.array([1.0, 3.0]), status=np.array([0, 1])),
+    # censorings before the first event, tied to both event times and after
+    # the last one
+    "censor-ties": lambda rng: Dataset(
+        times=np.array([0.5, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0]),
+        status=np.array([0, 0, 1, 0, 0, 1, 0, 0, 0])),
 }
 
 
