@@ -6,7 +6,7 @@ import csv
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -92,24 +92,30 @@ class Dataset:
         return int(self.status.sum())
 
 
+_BLOCK = 1 << 18  # characters of text that parse_csv's fast path reads at a time
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
+
+
 @contextmanager
 def _text_stream(source):
     """A text stream over a path, bytes, or file-like source that closes
     only what it opens: a caller's binary handle is detached, not closed.
 
-    What is read as bytes is decoded as UTF-8 with any leading byte-order
-    mark skipped; a text handle is read as its caller decoded it."""
+    Yields the stream and the ``newline`` with which ``io.StringIO`` splits
+    lines as the stream does, or None for a handle.  What is read as bytes
+    is decoded as UTF-8 with any leading byte-order mark skipped; a text
+    handle is read as its caller decoded it."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as stream:
-            yield stream
+            yield stream, ""
     elif isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8-sig"))
+        yield io.StringIO(source.decode("utf-8-sig")), "\n"
     elif isinstance(source, io.TextIOBase):
-        yield source
+        yield source, None
     else:
         stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
         try:
-            yield stream
+            yield stream, None
         finally:
             stream.detach()
 
@@ -126,9 +132,13 @@ def parse_csv(
     numbering in error messages starts at 1 for the first data row; blank
     rows are skipped but still counted.
 
-    Each needed column's cells are streamed into a list of their own and
-    converted and checked as whole columns; only when a check fails are
-    the cells walked row by row, to name the first bad row.
+    A path or bytes source is read in blocks of whole lines, about 256 KiB
+    each, and a block with no quote, carriage return, NUL, blank line or
+    cell over ``csv.field_size_limit()``, each line holding the header's
+    cell count, is split at its commas and converted whole.  From the first
+    block that fails, and for a handle from the start, the needed columns'
+    cells are read by rows and converted as whole columns, and walked row
+    by row only to name the first bad row.
 
     Raises
     ------
@@ -142,17 +152,18 @@ def parse_csv(
     DataError
         The input is not UTF-8 text.
     """
+    names = (time_col, status_col, group_col)
     try:
-        t_cells, s_cells, g_cells, blank, malformed = _read_cells(
-            source, time_col, status_col, group_col)
+        try:
+            times, status, groups = _read_columns(source, *names, blocks=True)
+        except UnicodeDecodeError:
+            if not isinstance(source, (str, Path)):
+                raise
+            # the message counts the bad byte's position from the start of
+            # its chunk, and blocks are decoded in larger chunks than rows
+            times, status, groups = _read_columns(source, *names, blocks=False)
     except UnicodeDecodeError as exc:
         raise DataError(str(exc)) from None
-    columns = _convert_columns(t_cells, s_cells, g_cells)
-    if columns is None:
-        columns = _convert_rows(t_cells, s_cells, g_cells, blank, group_col)
-    if malformed is not None:
-        raise malformed
-    times, status, groups = columns
     if times.size == 0:
         raise DataError("input has no data rows")
     if not status.any():
@@ -160,15 +171,15 @@ def parse_csv(
     return Dataset(times=times, status=status, groups=groups)
 
 
-def _read_cells(source, time_col, status_col, group_col):
-    """The needed columns' cells of :func:`parse_csv`'s input: ``(time
-    cells, status cells, group cells or None, blank row numbers, the
-    RowError of a malformed row or None)``.
+def _read_columns(source, time_col, status_col, group_col, blocks):
+    """``(times, status, groups or None)`` of :func:`parse_csv`'s input:
+    of its blocks while they pass :func:`_block_columns`, when ``blocks``,
+    then of the rest's rows, numbered on from the blocks' rows.
 
     Reading stops at the first malformed row: a short row or one the CSV
     reader rejects, such as a cell over its field size limit.
     """
-    with _text_stream(source) as stream:
+    with _text_stream(source) as (stream, newline):
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -186,14 +197,24 @@ def _read_cells(source, time_col, status_col, group_col):
         width = len(header)
         ti, si = index[time_col], index[status_col]
         gi = index[group_col] if group_col is not None else None
+        parts = []
+        while blocks and newline is not None and (block := stream.read(_BLOCK)):
+            block += stream.readline()
+            if not (part := _block_columns(block, width, ti, si, gi)):
+                break
+            parts.append(part)
+        else:
+            block = ""
+        # the block that failed is read again by rows, then the rest
+        reader = csv.reader(chain(io.StringIO(block, newline=newline), stream))
         t_cells: list[str] = []
         s_cells: list[str] = []
         g_cells: list[str] | None = [] if gi is not None else None
         blank: list[int] = []
         malformed = None
-        row_no = 0
+        row_no = rows = sum(len(part[0]) for part in parts)
         try:
-            for row_no, row in enumerate(reader, start=1):
+            for row_no, row in enumerate(reader, start=rows + 1):
                 # a row whose time cell holds text is neither blank nor short
                 if len(row) < width or not row[ti].strip():
                     if all(cell.strip() == "" for cell in row):
@@ -210,7 +231,33 @@ def _read_cells(source, time_col, status_col, group_col):
         except csv.Error as exc:
             # the reader failed on the row after the last one it returned
             malformed = RowError(row_no + 1, str(exc))
-    return t_cells, s_cells, g_cells, blank, malformed
+    parts.append(_convert_columns(t_cells, s_cells, g_cells)
+                 or _convert_rows(t_cells, s_cells, g_cells, blank, group_col, rows + 1))
+    if malformed is not None:
+        raise malformed
+    times, status, groups = zip(*parts)
+    return (np.concatenate(times), np.concatenate(status),
+            None if gi is None else tuple(chain.from_iterable(groups)))
+
+
+def _block_columns(block, width, ti, si, gi):
+    """:func:`_convert_columns` of a block of whole lines, or None unless
+    ``csv.reader`` splits each line at its commas into ``width`` cells: it
+    does so without a quote, carriage return, NUL or cell over its size
+    limit, which a line of no more bytes than the limit cannot hold.  A
+    blank line fails the cell count or the time conversion."""
+    if '"' in block or "\r" in block or "\0" in block:
+        return None
+    text = block.removesuffix("\n")
+    data = (text + "\n").encode()
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    separators = (b"," * (width - 1) + b"\n") * ends.size
+    if (np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+            or data.translate(None, _NOT_SEPARATORS) != separators):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    return _convert_columns(cells[ti::width], cells[si::width],
+                            None if gi is None else cells[gi::width])
 
 
 def _convert_columns(t_cells, s_cells, g_cells):
@@ -224,7 +271,10 @@ def _convert_columns(t_cells, s_cells, g_cells):
     """
     try:
         times = np.array(list(map(float, t_cells)), dtype=float)
-        status = np.array(list(map(int, s_cells)), dtype=np.int64)
+        # cells of one digit each are read from the bytes of their joined text
+        status = (np.frombuffer("".join(s_cells).encode(), np.uint8).astype(np.int64) - 48
+                  if set(s_cells) <= {"0", "1"}
+                  else np.array(list(map(int, s_cells)), dtype=np.int64))
     except (ValueError, OverflowError):
         return None
     if not (np.isfinite(times).all() and (times >= 0).all()
@@ -238,13 +288,14 @@ def _convert_columns(t_cells, s_cells, g_cells):
     return times, status, groups
 
 
-def _convert_rows(t_cells, s_cells, g_cells, blank, group_col):
+def _convert_rows(t_cells, s_cells, g_cells, blank, group_col, first):
     """Row-by-row conversion of the cells, as ``(times, status, groups)``:
-    the first bad row raises its :class:`RowError`.  ``blank`` lists the
-    skipped row numbers, which count towards the numbering of the rest.
+    the first bad row raises its :class:`RowError`.  The rows are numbered
+    from ``first``; ``blank`` lists the skipped row numbers, which count
+    towards the numbering of the rest.
     """
     skipped = set(blank)
-    row_nos = (r for r in count(1) if r not in skipped)
+    row_nos = (r for r in count(first) if r not in skipped)
     cells = zip(t_cells, s_cells, g_cells if g_cells is not None else repeat(None))
     times: list[float] = []
     status: list[int] = []

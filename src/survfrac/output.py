@@ -65,34 +65,28 @@ def _sanitize(obj):
     return _plain(obj)
 
 
-def _column_values(cells) -> list:
-    """The JSON values of a column's cells, as :func:`_sanitize` gives them."""
-    if isinstance(cells, np.ndarray):
-        values = cells.tolist()
-        if cells.dtype.kind in "iub" or (cells.dtype.kind == "f"
-                                          and np.isfinite(cells).all()):
-            return values
-        cells = values
-    return [_sanitize(v) for v in cells]
-
-
 def to_json(doc: OutputDocument) -> str:
-    payload = {
-        "command": doc.command,
-        "metadata": _sanitize(doc.metadata),
-        "sections": [
-            {
-                "label": sec.label,
-                "columns": list(sec.columns),
-                "rows": [
-                    dict(zip(sec.columns, row))
-                    for row in zip(*map(_column_values, sec.columns.values()))
-                ],
-            }
-            for sec in doc.sections
-        ],
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(indent=2, allow_nan=False)`` of the document, dumped
+    with no sections and each section with no rows, which are then filled
+    in: a section's rows are joined from its columns' JSON texts."""
+    sections = []
+    for sec in doc.sections:
+        row = ",\n".join("          " + json.dumps(name).replace("%", "%%") + ": %s"
+                         for name in sec.columns)
+        rows = "\n        },\n        {\n".join(
+            map(row.__mod__, zip(*map(_json_texts, sec.columns.values()))))
+        shell = json.dumps({"label": sec.label, "columns": list(sec.columns), "rows": []},
+                           indent=2, allow_nan=False).replace("\n", "\n    ")
+        if rows:
+            # the shell ends in '[]\n    }', the empty rows and the section's end
+            shell = f"{shell[:-8]}[\n        {{\n{rows}\n        }}\n      ]\n    }}"
+        sections.append("    " + shell)
+    text = json.dumps({"command": doc.command, "metadata": _sanitize(doc.metadata),
+                       "sections": []}, indent=2, allow_nan=False)
+    if sections:
+        # the text ends in '[]\n}', the empty sections and the document's end
+        text = text[:-4] + "[\n" + ",\n".join(sections) + "\n  ]\n}"
+    return text + "\n"
 
 
 def _cell_text(value, human: bool) -> str:
@@ -124,6 +118,21 @@ def _column_texts(cells, human: bool) -> list[str]:
             return [words[v] for v in values]
         cells = values
     return [_cell_text(v, human) for v in cells]
+
+
+def _json_texts(cells) -> list[str]:
+    """The JSON text of each value of a column, as ``json.dumps`` with
+    ``indent=2`` writes it in a row: a numeric array's are its CSV texts
+    but for NaN as null and infinities as strings."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "iubf":
+        texts = _column_texts(cells, human=False)
+        if cells.dtype.kind == "f":
+            for i in np.flatnonzero(~np.isfinite(cells)).tolist():
+                texts[i] = f'"{texts[i]}"' if texts[i] else "null"
+        return texts
+    # a list or dict cell is indented as a member of its row
+    return [json.dumps(_sanitize(v), indent=2, allow_nan=False).replace("\n", "\n          ")
+            for v in (cells.tolist() if isinstance(cells, np.ndarray) else cells)]
 
 
 def _csv_text(names: list[str], texts: list[list[str]]) -> str:

@@ -426,8 +426,18 @@ def reference_parse_csv(source, time_col="time", status_col="status", group_col=
             raise SchemaError(f"column {name!r} not found in header {header}")
         index[name] = header.index(name)
 
+    def numbered_rows():
+        row_no = 0
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                yield row_no, row
+        except csv.Error as exc:
+            # the reader rejects the row after the last one it returned,
+            # such as one with a cell over its field size limit
+            raise RowError(row_no + 1, str(exc)) from None
+
     times, status, groups = [], [], []
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in numbered_rows():
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) < len(header):

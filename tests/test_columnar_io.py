@@ -1,6 +1,9 @@
 """Columnar ingestion and rendering against their row-at-a-time references."""
 
+import csv
+import io
 import time
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import reference_parse_csv, reference_render
-from survfrac import DataError, Dataset, parse_csv, split_by_group
+from survfrac import DataError, Dataset, dataset, parse_csv, split_by_group
 from survfrac.output import FORMATS, OutputDocument, Section, render
 
 # ------------------------------------------------------------------ parsing
@@ -96,6 +99,111 @@ def test_parse_csv_reports_first_bad_row_after_blank_rows():
             raise AssertionError("bad row accepted")
 
 
+# ------------------------------------------------- block-wise fast path
+
+# the field size limit while a file holds a cell over it; every other cell
+# and the header fit under it
+_LIMIT = 40
+_LINE_PERTURBATIONS = ["long row", "short row", "blank row", "all-space row", "CRLF",
+                       "quote", "NUL", "cell over the limit"]
+_CELL_PERTURBATIONS = {
+    "status": ["01", "+1", " 1", "2"],
+    "time": ["1_0", "inf", "-0.0"],
+}
+
+
+@st.composite
+def _flat_file(draw):
+    """A quote-free, LF-only file of 2 or 3 blocks and the block size that
+    splits it so, with at most one perturbation in its first, a middle or
+    its last block: ``(text, block size, the perturbation, group column)``.
+
+    In about half the files every cell is 0 or 1, so that cells read from
+    a wrongly split block still convert."""
+    names = draw(st.permutations(["time", "status"] + draw(st.sampled_from(
+        [[], ["g"], ["extra"], ["g", "extra"]]))))
+    bits = st.sampled_from(["0", "1"])
+    if draw(st.booleans()):
+        cores = dict.fromkeys(names, bits)
+    else:
+        cores = {"time": st.one_of(st.floats(0, 1e6).map(repr), st.integers(0, 50).map(str)),
+                 "status": bits, "g": st.sampled_from(["a", "b", "a b", "é", "0"]),
+                 "extra": st.sampled_from(["x", "", "0.5"])}
+    rows = [[draw(cores[name]) for name in names]
+            for _ in range(draw(st.integers(6, 30)))]
+    kind = draw(st.sampled_from(
+        [None, None, "trailing blank line", "BOM", "U+001C padding", "empty group cell"]
+        + _LINE_PERTURBATIONS + [f"{name} {cell}" for name, cells in _CELL_PERTURBATIONS.items()
+                                 for cell in cells]))
+    at = draw(st.sampled_from([0, len(rows) // 2, len(rows) - 1]))
+    column = names.index(draw(st.sampled_from(names)))
+    ends = ["\n"] * len(rows)
+    if kind in ("long row", "short row"):
+        rows[at] = rows[at] + ["1"] if kind == "long row" else rows[at][:-1]
+    elif kind in ("blank row", "all-space row"):
+        rows.insert(at, [" "] * len(names) if kind == "all-space row" else [""])
+        ends.append("\n")
+    elif kind == "CRLF":
+        ends[at] = "\r\n"
+    elif kind in ("quote", "NUL", "BOM", "U+001C padding"):
+        cell = rows[at][column]
+        rows[at][column] = {"quote": f'"{cell}"', "NUL": cell + "\0", "BOM": "\ufeff" + cell,
+                            "U+001C padding": f"\x1c{cell}\x1c"}[kind]
+    elif kind == "cell over the limit":
+        rows[at][names.index("time")] = "0" * (_LIMIT + 1)
+    elif kind == "empty group cell" and "g" in names:
+        rows[at][names.index("g")] = ""
+    elif kind is not None and kind.split()[0] in _CELL_PERTURBATIONS:
+        rows[at][names.index(kind.split()[0])] = kind.split(" ", 1)[1]
+    body = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    if kind == "trailing blank line":
+        body += "\n"
+    elif draw(st.booleans()):
+        body = body[:-1]
+    block = max(1, len(body) // draw(st.sampled_from([2, 3])))
+    group_col = draw(st.sampled_from([None, "g"])) if "g" in names else None
+    return ",".join(names) + "\n" + body, block, kind, group_col
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_flat_file())
+def test_block_fast_path_matches_row_loop_reference(tmp_path_factory, file):
+    text, block, kind, group_col = file
+    data = text.encode("utf-8")
+    path = tmp_path_factory.getbasetemp() / "flat.csv"
+    path.write_bytes(data)
+    limit = csv.field_size_limit()
+    try:
+        if kind == "cell over the limit":
+            csv.field_size_limit(_LIMIT)
+        want = _outcome(reference_parse_csv, data, group_col)
+        with mock.patch.object(dataset, "_BLOCK", block):
+            for source in (data, path, io.StringIO(text), io.BytesIO(data)):
+                assert _outcome(parse_csv, source, group_col) == want, (kind, type(source))
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_clean_file_is_read_in_blocks():
+    # every block of a quote-free LF file passes the fast path's checks
+    text = "time,status,arm\n" + "".join(f"{i / 7!r},{i % 2},{'AB'[i % 3 % 2]}\n"
+                                         for i in range(1, 400))
+    real, parts = dataset._block_columns, []
+
+    def spy(*args):
+        parts.append(real(*args))
+        return parts[-1]
+
+    with mock.patch.object(dataset, "_BLOCK", 1000), \
+            mock.patch.object(dataset, "_block_columns", spy):
+        fast = parse_csv(text.encode(), group_col="arm")
+    assert len(parts) > 3 and all(part is not None for part in parts)
+    want = reference_parse_csv(text.encode(), group_col="arm")
+    assert fast.times.tobytes() == want.times.tobytes()
+    assert fast.status.tobytes() == want.status.tobytes()
+    assert fast.groups == want.groups
+
+
 # ------------------------------------------------------------------ grouping
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -139,7 +247,7 @@ def test_split_by_group_scaling_guard():
 
 # ----------------------------------------------------------------- rendering
 
-_TEXT = st.text(alphabet='ab ,"\n\r-\x00é', max_size=6)
+_TEXT = st.text(alphabet='ab ,"\'\n\r-\x00\\é中\u2028😀', max_size=6)
 _SCALAR = st.one_of(
     st.none(),
     st.booleans(),
@@ -153,12 +261,17 @@ _SCALAR = st.one_of(
 )
 
 
+_NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+# the cells of a fraction-mean column: floats, absent values and flags
+_ESTIMATE_CELL = st.one_of(st.none(), st.floats(), _NON_FINITE, st.booleans())
+
+
 def _column(n):
-    floats = hnp.arrays(np.float64, n, elements=st.one_of(
-        st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan")])))
+    floats = hnp.arrays(np.float64, n, elements=st.one_of(st.floats(), _NON_FINITE))
     return st.one_of(
         st.lists(_SCALAR, min_size=n, max_size=n),
         st.lists(_SCALAR, min_size=n, max_size=n).map(tuple),
+        st.lists(_ESTIMATE_CELL, min_size=n, max_size=n).map(tuple),
         floats,
         hnp.arrays(np.int64, n),
         hnp.arrays(np.bool_, n),
@@ -167,7 +280,7 @@ def _column(n):
 
 @st.composite
 def _section(draw):
-    n = draw(st.integers(0, 8))
+    n = draw(st.one_of(st.just(0), st.integers(0, 8)))
     names = draw(st.lists(_TEXT, max_size=4, unique=True))
     columns = {name: draw(_column(n)) for name in names}
     return Section(columns=columns, label=draw(st.one_of(st.none(), _TEXT)))
@@ -175,10 +288,13 @@ def _section(draw):
 
 @st.composite
 def _document(draw):
+    keys = st.text(alphabet="abc_", min_size=1, max_size=5)
+    # the table skips a dict, so only it may nest lists and dicts
+    nested = st.recursive(_SCALAR, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(keys, inner, max_size=3)), max_leaves=8)
     metadata = draw(st.dictionaries(
-        st.text(alphabet="abc_", min_size=1, max_size=5),
-        st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),
-                  st.dictionaries(st.just("x"), _SCALAR, max_size=1)),
+        keys, st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),
+                        st.dictionaries(keys, nested, max_size=3)),
         max_size=4))
     return OutputDocument(command=draw(st.sampled_from(["estimate", "km-curve"])),
                           metadata=metadata,
@@ -208,3 +324,15 @@ def test_render_matches_row_reference(doc):
         want = reference_render(doc if fmt == "json" else escaped, fmt)
         assert render(doc, fmt) == want, fmt
 
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.recursive(_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.sampled_from(["a", "b"]), inner, max_size=2)), max_leaves=6),
+    min_size=1, max_size=4))
+def test_json_indents_list_and_dict_cells(cells):
+    # only JSON writes a cell that holds a list or dict
+    doc = OutputDocument(command="estimate", metadata={}, sections=[
+        Section(columns={"a": cells, "b": np.arange(len(cells))})])
+    assert render(doc, "json") == reference_render(doc, "json")

@@ -203,3 +203,44 @@ def test_negative_zero_times_stored_as_zero():
     ds = Dataset(times=np.array([-0.0, 0.0, 1.0]), status=np.array([1, 1, 0]))
     assert not np.signbit(ds.times).any()
     assert ds.times.tolist() == [0.0, 0.0, 1.0]
+
+
+# 60 000 rows of 6 bytes: the invalid byte lies past the first 256 KiB
+# block of text, and for a path or binary handle 7 756 bytes into the 8 KiB
+# chunk that reading by rows decodes it in
+_PAST_FIRST_BLOCK = b"time,status\n" + b"1.5,1\n" * 60_000
+
+
+@pytest.mark.parametrize("data, position, where", [
+    (_PAST_FIRST_BLOCK + b"\xff,1\n2,0\n", 7756, 360012),
+    # a short row in the first block stops reading before the bad byte,
+    # except in bytes, which are decoded whole first
+    (b"time,status\n1.5,1\n4\n" + _PAST_FIRST_BLOCK[12:] + b"\xff,1\n", None, 360020),
+    (b"time,status\n1.5,1\n4\n" + _PAST_FIRST_BLOCK[12:100_012] + b"\xff,1\n", None, 100_020),
+], ids=["bad byte", "short row, then the bad byte a block later", "short row, bad byte in its block"])
+def test_decode_error_text_past_the_first_block(tmp_path, data, position, where):
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    decode = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+    want = decode.format(position) if position is not None else "row 2: expected 2 cells, got 1"
+    for source in (p, io.BytesIO(data)):
+        with pytest.raises(DataError) as caught:
+            parse_csv(source)
+        assert str(caught.value) == want
+    with pytest.raises(DataError) as caught:
+        parse_csv(data)
+    assert str(caught.value) == decode.format(where)
+
+
+def test_byte_order_mark_and_crlf_parse_as_plain(tmp_path):
+    plain = b"time,status,arm\n" + b"".join(
+        b"%d.25,%d,%s\n" % (i, i % 3 != 0, b"ab"[i % 2:i % 2 + 1]) for i in range(5000))
+    spelled = b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n")
+    p = tmp_path / "bom-crlf.csv"
+    p.write_bytes(spelled)
+    want = parse_csv(plain, group_col="arm")
+    for source in (spelled, p, io.BytesIO(spelled)):
+        ds = parse_csv(source, group_col="arm")
+        assert ds.times.tobytes() == want.times.tobytes()
+        assert ds.status.tobytes() == want.status.tobytes()
+        assert ds.groups == want.groups
