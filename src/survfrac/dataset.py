@@ -242,22 +242,22 @@ def _read_columns(source, time_col, status_col, group_col, blocks):
 
 def _block_columns(block, width, ti, si, gi):
     """:func:`_convert_columns` of a block of whole lines, or None unless
-    ``csv.reader`` splits each line at its commas into ``width`` cells: it
-    does so without a quote, carriage return, NUL or cell over its size
-    limit, which a line of no more bytes than the limit cannot hold.  A
-    blank line fails the cell count or the time conversion."""
+    ``csv.reader`` splits each line at its commas into ``width`` cells, as
+    it does without a quote, CR, NUL or line over its field size limit.
+    A blank line fails the cell count or the time conversion."""
     if '"' in block or "\r" in block or "\0" in block:
         return None
-    text = block.removesuffix("\n")
-    data = (text + "\n").encode()
+    block += "" if block.endswith("\n") else "\n"
+    data = block.encode()
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     separators = (b"," * (width - 1) + b"\n") * ends.size
     if (np.diff(ends, prepend=-1).max() > csv.field_size_limit()
             or data.translate(None, _NOT_SEPARATORS) != separators):
         return None
-    cells = text.replace("\n", ",").split(",")
-    return _convert_columns(cells[ti::width], cells[si::width],
-                            None if gi is None else cells[gi::width])
+    # the last cell is the empty one after the last line end
+    cells = block.replace("\n", ",").split(",")
+    return _convert_columns(cells[ti:-1:width], cells[si:-1:width],
+                            None if gi is None else cells[gi:-1:width])
 
 
 def _convert_columns(t_cells, s_cells, g_cells):
