@@ -164,7 +164,7 @@ def cmd_compare(args) -> OutputDocument:
 
     result = bootstrap_compare(
         g0, g1, grid, horizon=horizon, B=args.bootstrap, level=args.level,
-        seed=args.seed, workers=args.workers, curves=curves,
+        seed=args.seed, workers=args.workers,
     )
     sections = [
         Section(

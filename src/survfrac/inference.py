@@ -17,16 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, EmptyEventsError
 from .engine import _map_blocks, _philox_rows
-from .fracmean import (
-    FractionGrid,
-    _restricted_mean_rows,
-    _window_masses,
-    fraction_means,
-    restricted_mean,
-)
-from .km import KmCurve, _check_level, _km_rows, fit_km
+from .fracmean import FractionGrid, _restricted_mean_rows, _window_masses
+from .km import _check_level, _km_rows
 
 __all__ = [
     "DiffEstimate",
@@ -94,6 +88,8 @@ class _Group(NamedTuple):
 
 def _prepare(ds: Dataset) -> _Group:
     times = np.unique(ds.times[ds.status == 1])
+    if times.size == 0:
+        raise EmptyEventsError("cannot fit a curve to a sample with no events")
     # index -1, before the first event, wraps to the spare column len(times)
     column = (np.searchsorted(times, ds.times, side="right") - 1) % (times.size + 1)
     return _Group(times, 2 * column + (ds.status == 1), _group_digest(ds))
@@ -145,33 +141,41 @@ def _replicate_counts(group: _Group, seed: int, start: int, stop: int):
     """Per-event-time observation and event counts of replicates [start, stop).
 
     Replicate r draws ``integers(0, n, size=n)`` from the Philox stream
-    keyed by (seed, group digest) at counter (0, 0, 0, r).  One count of
-    the drawn observations' codes gives both counts of every row; the
-    spare column of the censorings before the first event is dropped.
+    keyed by (seed, group digest) at counter (0, 0, 0, r).  The draws are
+    freed before the count, so that the block's later arrays reuse their
+    memory.
+    """
+    n = group.code.size
+    return _code_counts(group, group.code[_index_draws((seed, group.digest), start, stop, n, n)])
+
+
+def _code_counts(group: _Group, cells: np.ndarray):
+    """Per-event-time observation and event counts of rows of observation
+    codes, ``cells``, which it overwrites.
+
+    One count of the codes gives both counts of every row; the spare
+    column of the censorings before the first event is dropped.
     """
     m = group.times.size
-    rows = stop - start
-    n = group.code.size
-    cells = group.code[_index_draws((seed, group.digest), start, stop, n, n)]
+    rows = len(cells)
     cells += (2 * m + 2) * np.arange(rows)[:, None]
     counts = np.bincount(cells.ravel(), minlength=(2 * m + 2) * rows)
     counts = counts.reshape(rows, m + 1, 2)[:, :m]
     return counts[..., 0] + counts[..., 1], counts[..., 1]
 
 
-def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon,
-                     seed: int, start: int, stop: int):
-    """One group's statistics for replicates [start, stop).
+def _replicate_stats(group: _Group, grid: FractionGrid | None, horizon, tot, ev):
+    """One group's statistics for replicates given by their rows of counts
+    ``(tot, ev)`` (see :func:`_code_counts`).
 
     Returns ``(stats, computable, has_events)``: a row per replicate of the
     per-fraction means, then the restricted mean when a horizon is given;
     whether each of these is computable (the restricted mean always is);
     and whether the replicate kept any event.
     """
-    tot, ev = _replicate_counts(group, seed, start, stop)
     _, surv = _km_rows(tot, ev)
     k = 0 if grid is None else grid.k
-    stats = np.empty((stop - start, k + (horizon is not None)))
+    stats = np.empty((len(surv), k + (horizon is not None)))
     computable = np.ones(stats.shape, dtype=bool)
     if grid is not None:
         # every column is a valid curve value: a time without events in a
@@ -193,9 +197,8 @@ def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
     horizon is given.  NaN marks a fraction not computable on either side
     and every column of a replicate discarded for losing all events.
     """
-    start, stop = span
-    stats0, ok0, ev0 = _replicate_stats(g0, grid, horizon, seed, start, stop)
-    stats1, ok1, ev1 = _replicate_stats(g1, grid, horizon, seed, start, stop)
+    stats0, ok0, ev0 = _replicate_stats(g0, grid, horizon, *_replicate_counts(g0, seed, *span))
+    stats1, ok1, ev1 = _replicate_stats(g1, grid, horizon, *_replicate_counts(g1, seed, *span))
     diffs = stats1 - stats0
     diffs[~(ok0 & ok1)] = np.nan
     discarded = ~(ev0 & ev1)
@@ -203,7 +206,7 @@ def _block_diffs(g0: _Group, g1: _Group, grid, horizon, seed, span):
     return diffs, int(discarded.sum())
 
 
-def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
+def _replicate_diffs(g0: _Group, g1: _Group, grid, horizon, B: int,
                      seed: int, workers: int):
     """All B replicate rows of :func:`_block_diffs`, in replicate order,
     and the count of discarded replicates.
@@ -211,9 +214,8 @@ def _replicate_diffs(g0: Dataset, g1: Dataset, grid, horizon, B: int,
     A row draws once per observation of the larger group.  A pool of
     ``workers > 1`` maps the same blocks, with the same result.
     """
-    p0, p1 = _prepare(g0), _prepare(g1)
-    work = partial(_block_diffs, p0, p1, grid, horizon, seed)
-    diffs, discarded = zip(*_map_blocks(work, B, max(len(g0), len(g1)), workers))
+    work = partial(_block_diffs, g0, g1, grid, horizon, seed)
+    diffs, discarded = zip(*_map_blocks(work, B, max(g0.code.size, g1.code.size), workers))
     return np.concatenate(diffs), sum(discarded)
 
 
@@ -262,8 +264,6 @@ def bootstrap_compare(
     level: float = 0.95,
     seed: int = 0,
     workers: int = 1,
-    *,
-    curves: tuple[KmCurve, KmCurve] | None = None,
 ) -> BootstrapComparison:
     """Bootstrap mu_bar(g1) - mu_bar(g0) per fraction and, at ``horizon``,
     the restricted-mean difference, in one pass over the replicates.
@@ -271,12 +271,12 @@ def bootstrap_compare(
     Resampling is stratified: each replicate redraws within each group,
     with replacement, preserving group sizes.  Replicates where a group
     loses all its events are discarded; replicates where a fraction is not
-    computable on either side are dropped for that fraction only.  Point
-    estimates come from the original samples.  The caller is expected to
-    have truncated ``grid`` to the fractions both groups support (see
-    :func:`survfrac.fracmean.truncate_grid`).  Pass ``grid=None`` to
-    compare restricted means only.  ``curves`` may pass the groups' fitted
-    curves, ``(fit_km(g0), fit_km(g1))``, when the caller has them already.
+    computable on either side are dropped for that fraction only.  The
+    point estimates are the statistics of the replicate that draws each
+    observation once, which are the original samples' own.  The caller is
+    expected to have truncated ``grid`` to the fractions both groups
+    support (see :func:`survfrac.fracmean.truncate_grid`).  Pass
+    ``grid=None`` to compare restricted means only.
 
     Deterministic given (inputs, B, level, seed), for any ``workers``.
     """
@@ -287,17 +287,14 @@ def bootstrap_compare(
         raise DataError(f"horizon must be finite and positive, got {horizon}")
     if grid is None and horizon is None:
         raise DataError("nothing to compare: give a grid, a horizon or both")
-    c0, c1 = curves if curves is not None else (fit_km(g0), fit_km(g1))
-    points: list[float] = []
-    if grid is not None:
-        fm0 = fraction_means(c0, grid)
-        fm1 = fraction_means(c1, grid)
-        points += [b1 - b0 for b0, b1 in zip(fm0.mu_bar, fm1.mu_bar)]
-    if horizon is not None:
-        points.append(restricted_mean(c1, horizon) - restricted_mean(c0, horizon))
-
-    diffs, discarded = _replicate_diffs(g0, g1, grid, horizon, B, seed, workers)
-    out = [_estimate(p, diffs[:, j], B, level) for j, p in enumerate(points)]
+    p0, p1 = _prepare(g0), _prepare(g1)
+    # each group's own statistics: its replicate that draws each observation
+    # once, whose row of codes is the sample's own
+    point0, point1 = (
+        _replicate_stats(p, grid, horizon, *_code_counts(p, p.code[None].copy()))[0][0]
+        for p in (p0, p1))
+    diffs, discarded = _replicate_diffs(p0, p1, grid, horizon, B, seed, workers)
+    out = [_estimate(p, diffs[:, j], B, level) for j, p in enumerate(point1 - point0)]
     if horizon is None:
         return BootstrapComparison(out, None, discarded)
     return BootstrapComparison(out[:-1], out[-1], discarded)

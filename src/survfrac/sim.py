@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError
 from .engine import _map_blocks, _philox_rows
 from .fracmean import FractionGrid, _fraction_bound_rows, _window_masses
 from .km import _band_rows, _fit_rows
@@ -17,7 +17,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "true_fraction_means",
-    "generate_replicate",
     "run_study",
 ]
 
@@ -155,14 +154,6 @@ def _draw_rows(cfg: SimConfig, start: int, stop: int):
         t = cfg.alpha * (u_event / (1.0 - u_event)) ** (1.0 / cfg.beta)
     c = cfg.censor_upper * u_censor
     return np.minimum(t, c), (t <= c).astype(np.int64)
-
-
-def generate_replicate(cfg: SimConfig, index: int) -> Dataset:
-    """Draw one censored sample; deterministic given (cfg.seed, index)."""
-    if not 0 <= index < cfg.n_datasets:
-        raise ValueError(f"index {index} outside [0, {cfg.n_datasets})")
-    times, status = _draw_rows(cfg, index, index + 1)
-    return Dataset(times=times[0], status=status[0])
 
 
 @dataclass(frozen=True)

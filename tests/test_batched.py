@@ -134,7 +134,8 @@ def test_batched_replicates_match_per_replicate_refits(kind):
     horizon = float(np.median(ds.times))
     seed, B = 17, 300
     group = _prepare(ds)
-    stats, computable, has_events = _replicate_stats(group, GRID, horizon, seed, 0, B)
+    counts = inference._replicate_counts(group, seed, 0, B)
+    stats, computable, has_events = _replicate_stats(group, GRID, horizon, *counts)
     mu_bar, rmean = stats[:, :-1], stats[:, -1]
     assert computable[:, -1].all()
     discarded = 0
@@ -175,8 +176,7 @@ def test_identity_replicate_equals_point_estimate():
         group = _prepare(ds)
         m = group.times.size
         curve = fit_km(ds)
-        pairs = np.bincount(group.code, minlength=2 * m + 2).reshape(1, m + 1, 2)[:, :m]
-        _, surv = _km_rows(pairs.sum(axis=2), pairs[..., 1])
+        _, surv = _km_rows(*inference._code_counts(group, group.code[None].copy()))
         assert group.times.tolist() == curve.times.tolist()
         assert surv[0].tolist() == curve.survival.tolist()
         for grid in (GRID, random_grid(rng, 1.0)):
@@ -222,7 +222,8 @@ def test_block_size_does_not_change_results(monkeypatch):
     for rows in (1, 7, B):
         # a block holds _BLOCK_CELLS // (larger group size) replicates
         monkeypatch.setattr(engine, "_BLOCK_CELLS", rows * max(len(g0), len(g1)))
-        results.append(_replicate_diffs(g0, g1, GRID, horizon, B, seed=4, workers=1))
+        results.append(_replicate_diffs(_prepare(g0), _prepare(g1), GRID, horizon, B,
+                                        seed=4, workers=1))
     runs, discarded = zip(*results)
     for diffs in runs[1:]:
         assert np.array_equal(diffs, runs[0], equal_nan=True)

@@ -7,7 +7,12 @@ which the kernel sums in another order than the references, within the
 bound of ``helpers.assert_sum_close``."""
 
 import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +201,43 @@ def test_pool_holds_at_most_one_worker_per_block(monkeypatch, capsys):
     assert sizes == [2, 3, 4] and chunks == [2, 1, 77]
     assert main(argv) == 0
     assert capsys.readouterr().out == pooled
+
+
+# Prints the repr of a bootstrap comparison and of a study, each at one and
+# at two workers, under the start method named by the first argument, then
+# whether a pool was started.  Blocks of 1 024 cells give both runs several
+# spans, and two usable CPUs are assumed, so that a pool starts on any host
+_START_METHOD_RUN = """
+import multiprocessing, sys
+import numpy as np
+from survfrac import Dataset, FractionGrid, SimConfig, bootstrap_compare, engine, run_study
+
+multiprocessing.set_start_method(sys.argv[1])
+engine._BLOCK_CELLS = 1 << 10
+engine._usable_cpus = lambda: 2
+rng = np.random.default_rng(5)
+g0, g1 = (Dataset(times=rng.exponential(size=n), status=(rng.random(n) < 0.7).astype(np.int64))
+          for n in (60, 50))
+grid = FractionGrid((0.0, 0.2, 0.4))
+cfg = SimConfig(n_datasets=40, n=60, seed=12)
+for workers in (1, 2):
+    print(repr(bootstrap_compare(g0, g1, grid, horizon=0.5, B=200, seed=3, workers=workers)))
+    print(repr(run_study(cfg, workers=workers)))
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_same_results_under_every_start_method(method):
+    src = Path(sim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _START_METHOD_RUN, method], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    compare1, study1, compare2, study2, pooled = proc.stdout.splitlines()
+    assert pooled == "True"
+    assert compare2 == compare1
+    assert study2 == study1
 
 
 @pytest.mark.parametrize("platform, affinity, cpu_count, usable", [

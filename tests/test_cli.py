@@ -724,8 +724,6 @@ def test_truth_overflow_fails_before_the_study(run, monkeypatch):
 
 
 def test_compare_fits_each_group_once(run, two_arm_csv, monkeypatch):
-    import survfrac.inference
-
     calls = []
 
     def counted(ds):
@@ -733,7 +731,6 @@ def test_compare_fits_each_group_once(run, two_arm_csv, monkeypatch):
         return fit_km(ds)
 
     monkeypatch.setattr(survfrac.cli, "fit_km", counted)
-    monkeypatch.setattr(survfrac.inference, "fit_km", counted)
     code, _, _ = run("compare", "--input", two_arm_csv, "--group-col", "arm",
                      "--ref-group", "allo", "--bootstrap", "100",
                      "--restricted-mean", "--format", "json")

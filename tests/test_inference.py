@@ -8,6 +8,7 @@ from survfrac import (
     bootstrap_compare,
     fit_km,
     fraction_means,
+    restricted_mean,
 )
 from survfrac.inference import _percentile_ci
 
@@ -68,14 +69,25 @@ class TestBootstrapFractionDiff:
             assert est.ci_lower <= 0.0 <= est.ci_upper
 
     def test_point_is_direct_difference(self):
-        g0, g1 = two_samples()
-        out = bootstrap_compare(g0, g1, GRID, B=150, seed=5)
-        # without a horizon there is no restricted-mean difference
-        assert out.restricted is None
-        fm0 = fraction_means(fit_km(g0), GRID)
-        fm1 = fraction_means(fit_km(g1), GRID)
-        for k, est in enumerate(out.fractions):
-            assert est.point == fm1.mu_bar[k] - fm0.mu_bar[k]
+        # the second pair lies on a lattice: integer times, so censorings
+        # tie with events and events with each other, and one censoring
+        # before each group's first event
+        rng = np.random.default_rng(26)
+        lattice = [Dataset(times=np.append(1.0, rng.integers(2, 30, n)),
+                           status=np.append(0, rng.random(n) < 0.6).astype(np.int64))
+                   for n in (60, 45)]
+        for (g0, g1), horizon in ((two_samples(), None), (lattice, 12.5)):
+            out = bootstrap_compare(g0, g1, GRID, horizon=horizon, B=150, seed=5)
+            c0, c1 = fit_km(g0), fit_km(g1)
+            fm0, fm1 = fraction_means(c0, GRID), fraction_means(c1, GRID)
+            for k, est in enumerate(out.fractions):
+                assert est.point == fm1.mu_bar[k] - fm0.mu_bar[k]
+            if horizon is None:
+                # without a horizon there is no restricted-mean difference
+                assert out.restricted is None
+            else:
+                assert out.restricted.point == (restricted_mean(c1, horizon)
+                                                - restricted_mean(c0, horizon))
 
     def test_deterministic_rerun_and_workers(self):
         g0, g1 = two_samples()

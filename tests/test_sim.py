@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from survfrac import (
+    Dataset,
     FractionGrid,
     SimConfig,
     fit_km,
     fraction_means,
-    generate_replicate,
     run_study,
     true_fraction_means,
 )
+from survfrac.sim import _draw_rows
 
 PAPER_GRID = FractionGrid.from_uppers((0.2, 0.4, 0.6, 0.8, 0.95))
 
@@ -104,44 +105,44 @@ def test_true_fraction_means_match_scipy_quad(beta, edges, to_one):
         assert value == pytest.approx(scipy_fraction_mean(beta, a, b), rel=1e-12, abs=0)
 
 
-class TestGenerateReplicate:
+def sample(cfg, index):
+    """Study sample ``index`` as a dataset: one row of ``_draw_rows``."""
+    times, status = _draw_rows(cfg, index, index + 1)
+    return Dataset(times=times[0], status=status[0])
+
+
+class TestDrawRows:
     def test_deterministic(self):
         cfg = SimConfig(n_datasets=10, n=50, seed=42)
-        a = generate_replicate(cfg, 3)
-        b = generate_replicate(cfg, 3)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.status, b.status)
+        a = _draw_rows(cfg, 3, 4)
+        b = _draw_rows(cfg, 3, 4)
+        block = _draw_rows(cfg, 0, 10)
+        for x, y, rows in zip(a, b, block):
+            np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(x[0], rows[3])
 
     def test_distinct_replicates(self):
         cfg = SimConfig(n_datasets=10, n=50, seed=42)
-        a = generate_replicate(cfg, 0)
-        b = generate_replicate(cfg, 1)
-        assert not np.array_equal(a.times, b.times)
-
-    def test_index_domain(self):
-        cfg = SimConfig(n_datasets=2, n=10)
-        with pytest.raises(ValueError):
-            generate_replicate(cfg, 2)
+        times, _ = _draw_rows(cfg, 0, 2)
+        assert not np.array_equal(times[0], times[1])
 
     def test_everything_censored_near_zero_horizon(self):
         cfg = SimConfig(n_datasets=1, n=50, censor_upper=1e-9, seed=1)
-        ds = generate_replicate(cfg, 0)
-        assert ds.n_events == 0
-        assert np.all(ds.times < 1e-9)
+        times, status = _draw_rows(cfg, 0, 1)
+        assert not status.any()
+        assert np.all(times < 1e-9)
 
     def test_sampler_matches_analytic_cdf(self):
         # effectively uncensored draws; KS distance < 0.01 at 1e5 draws
         cfg = SimConfig(n_datasets=1, n=100_000, censor_upper=1e12, seed=7)
-        ds = generate_replicate(cfg, 0)
-        ks = stats.kstest(ds.times, stats.fisk(c=2, scale=1).cdf)
+        times, _ = _draw_rows(cfg, 0, 1)
+        ks = stats.kstest(times[0], stats.fisk(c=2, scale=1).cdf)
         assert ks.statistic < 0.01
 
     def test_censoring_rate_table_parameters(self):
         cfg = SimConfig(n_datasets=500, n=200, seed=9)
-        events = sum(
-            generate_replicate(cfg, i).n_events for i in range(cfg.n_datasets)
-        )
-        rate = 1.0 - events / (cfg.n_datasets * cfg.n)
+        _, status = _draw_rows(cfg, 0, cfg.n_datasets)
+        rate = 1.0 - status.sum() / (cfg.n_datasets * cfg.n)
         assert 0.47 < rate < 0.53
 
 
@@ -176,7 +177,7 @@ class TestRunStudy:
     def test_single_replicate_passthrough(self):
         cfg = SimConfig(n_datasets=1, n=80, seed=3)
         summary = run_study(cfg)
-        fm = fraction_means(fit_km(generate_replicate(cfg, 0)), cfg.grid)
+        fm = fraction_means(fit_km(sample(cfg, 0)), cfg.grid)
         for j in range(cfg.grid.k):
             if fm.computable[j]:
                 assert summary.mean_estimate[j] == fm.mu[j]
@@ -194,7 +195,7 @@ class TestRunStudy:
             cfg = SimConfig(n_datasets=200, n=n, seed=13, grid=grid)
             errs = []
             for i in range(cfg.n_datasets):
-                fm = fraction_means(fit_km(generate_replicate(cfg, i)), grid)
+                fm = fraction_means(fit_km(sample(cfg, i)), grid)
                 if fm.computable[0]:
                     errs.append(abs(fm.mu[0] - truth))
             maes.append(np.mean(errs))

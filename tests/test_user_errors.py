@@ -26,7 +26,6 @@ from survfrac import (
     ep_band,
     fit_km,
     fraction_means,
-    generate_replicate,
     max_observed_fraction,
     quantile,
     restricted_mean,
@@ -37,6 +36,7 @@ from survfrac.output import OutputDocument, render
 
 SAMPLE = Dataset(times=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
                  status=np.array([1, 1, 0, 1, 1]))
+CENSORED = Dataset(times=np.array([1.0, 2.0, 3.0]), status=np.zeros(3, dtype=np.int64))
 CURVE = fit_km(SAMPLE)
 GRID = FractionGrid.from_uppers([0.5])
 DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
@@ -67,6 +67,8 @@ DIVERGENT = FractionGrid.from_uppers([0.5, 1.0])
      "horizon must be finite and positive, got -1.0"),
     (lambda: bootstrap_compare(SAMPLE, SAMPLE, None, B=100),
      "nothing to compare: give a grid, a horizon or both"),
+    (lambda: bootstrap_compare(SAMPLE, CENSORED, GRID, B=100),
+     "cannot fit a curve to a sample with no events"),
     (lambda: SimConfig(n_datasets=0, n=10), "n_datasets must be >= 1"),
     (lambda: SimConfig(n_datasets=1, n=1), "n must be >= 2"),
     (lambda: SimConfig(n_datasets=1, n=10, alpha=-1.0),
@@ -109,7 +111,6 @@ EMPTY_BAND = BandPair(level=0.95, coefficient=1.0, times=np.empty(0), lower=np.e
     lambda: quantile(CURVE, 0.0),
     lambda: render(OutputDocument(command="estimate", metadata={}, sections=[]), "xml"),
     lambda: true_fraction_means(0.0, 2.0, GRID),
-    lambda: generate_replicate(SimConfig(n_datasets=1, n=10), 1),
 ])
 def test_checks_on_program_values_stay_plain_value_errors(check):
     with pytest.raises(ValueError) as info:
